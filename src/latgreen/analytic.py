@@ -20,7 +20,6 @@ from math import comb
 
 import mpmath as mp
 
-from .bigfloat import agm
 from .errors import (
     DivergenceError,
     DivergentRequest,
@@ -70,6 +69,22 @@ class EllipticArg:
     def parameter_value(self):
         v = mp.mpf(self.value) if not isinstance(self.value, mp.mpf) else self.value
         return v * v if self.convention == "modulus" else v
+
+
+def agm(a, b):
+    """Arithmetic-geometric mean at the current mpmath precision.
+
+    Quadratic convergence; iterate until the pair coincides to working
+    precision.  Both arguments must be positive.
+    """
+    a = mp.mpf(a)
+    b = mp.mpf(b)
+    if a <= 0 or b <= 0:
+        raise ValueError("agm needs positive arguments")
+    eps = mp.mpf(2) ** (-mp.mp.prec + 4)
+    while abs(a - b) > eps * a:
+        a, b = (a + b) / 2, mp.sqrt(a * b)
+    return (a + b) / 2
 
 
 def elliptic_K(arg: EllipticArg, prec: int = 50):
@@ -197,14 +212,6 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
 
 def _series_value(spec: LatticeSpec, z, prec: int, terms: int | None = None):
     return lgf_series_eval(spec, z, prec, terms).value
-
-
-def _even_series_value(spec: LatticeSpec, w, prec: int, terms: int = 240):
-    # even-series families evaluated directly in w = z^2 (w may be negative)
-    table = coeffs(spec, terms)
-    q2 = mp.mpf(spec.coordination) ** 2
-    w = mp.mpf(w)
-    return mp.fsum(mp.mpf(table[m]) * (w / q2) ** m for m in range(terms + 1))
 
 
 # -- generalized hypergeometric summation -------------------------------------

@@ -42,7 +42,7 @@ from .errors import (
     UnsupportedLattice,
     UnsupportedTerm,
 )
-from .lattices import LatticeSpec, coeffs, cosine_integer_table
+from .lattices import LatticeSpec, coeffs, cosine_integer_table, parse_lattice
 from .ode import (
     cy_conditions_report,
     fit_minimal_degree,
@@ -82,7 +82,9 @@ def _default_prec() -> int:
 
 
 def _fstr(v, prec: int) -> str:
-    return mp.nstr(mp.mpf(v) if not isinstance(v, mp.mpc) else v, prec)
+    # an mpf keeps its own precision; anything else converts at prec digits
+    with mp.workdps(prec):
+        return mp.nstr(mp.mpmathify(v), prec)
 
 
 def _qstr(x) -> str:
@@ -136,19 +138,14 @@ def write_cache(path: str, family: str, dim: int, values: list[int]) -> None:
 
 # -- coeffs -------------------------------------------------------------------
 
-_COSINE_NAME = {"square": "square", "sincos4": "sincos4", "triples4": "triples4"}
-
-
 def _table_by(method: str, spec: LatticeSpec, count: int) -> list[int]:
     if method == "formula":
         return list(coeffs(spec, count - 1).values)
     if method == "ct":
         return ct_series(kernel(spec.family, spec.dim), count - 1)
     if method == "cosine":
-        name = _COSINE_NAME.get(spec.family, f"{spec.family}{spec.dim}")
-        s = spec.steps_per_index
-        engine = cosine_integer_table(name, (count - 1) * s)
-        return [engine[s * n] for n in range(count)]
+        p = spec.powers_per_index
+        return cosine_integer_table(spec.name, (count - 1) * p)[::p]
     raise UsageExit(f"unknown method {method!r}")
 
 
@@ -176,13 +173,22 @@ def cmd_coeffs(args) -> int:
            "passed": True}
 
     if args.method == "all":
-        table = _table_by("formula", spec, count)
-        checks = {"formula-vs-ct": table == _table_by("ct", spec, count)}
+        tables = {}
+        try:
+            tables["formula"] = _table_by("formula", spec, count)
+        except UnsupportedLattice:
+            pass  # no closed form for this lattice (fcc in d >= 5)
+        for method in ("ct", "cosine"):
+            tables[method] = _table_by(method, spec, count)
+        first, *others = tables
+        table = tables[first]
+        checks = {f"{first}-vs-{m}": tables[m] == table for m in others}
         if cache_problem:
             checks["cache-readable"] = False
         elif cached is not None:
             k = min(len(cached), count)
-            checks["cache-vs-formula"] = cached[:k] == table[:k]
+            checks[f"cache-vs-{first}"] = cached[:k] == table[:k]
+        doc["routes"] = list(tables)
         doc["checks"] = checks
         doc["passed"] = all(checks.values())
         if not doc["passed"]:
@@ -211,10 +217,6 @@ def cmd_coeffs(args) -> int:
 
 # -- ode ----------------------------------------------------------------------
 
-_SERIES_SPEC = {"bcc4": ("bcc", 4), "sc4": ("sc", 4), "diamond4": ("diamond", 4),
-                "fcc4": ("fcc", 4), "sc3": ("sc", 3)}
-
-
 def _load_operator(args):
     if getattr(args, "op_file", None):
         with open(args.op_file) as fh:
@@ -235,9 +237,9 @@ def _series_for(args, op, n_max: int) -> tuple[PowerSeries, str]:
         spec = LatticeSpec(args.family, args.dim)
         return PowerSeries(list(coeffs(spec, n_max).values)), "table"
     name = getattr(args, "name", None)
-    if name in _SERIES_SPEC:
-        fam, d = _SERIES_SPEC[name]
-        return PowerSeries(list(coeffs(LatticeSpec(fam, d), n_max).values)), "table"
+    spec = parse_lattice(name) if name else None
+    if spec is not None:
+        return PowerSeries(list(coeffs(spec, n_max).values)), "table"
     if name and name.startswith("iwan"):
         d = int(name[4:])
         return PowerSeries([comb(2 * n, n) ** d for n in range(n_max + 1)]), "table"

@@ -5,18 +5,13 @@ monomial of K is a step, its exponent vector the displacement, and the
 constant term collects the walks whose displacements cancel.  This is
 the second, independent source for every coefficient table.
 
-Kernels for arbitrary dimension:
-
-    sc       sum_i (x_i + 1/x_i)
-    bcc      prod_i (x_i + 1/x_i)
-    fcc      sum_{i<j} (x_i + 1/x_i)(x_j + 1/x_j)
-    diamond  (1 + sum_i x_i)(1 + sum_i 1/x_i)
-
-The diamond form generalizes the honeycomb kernel (1+x+y)(1+1/x+1/y);
-its constant terms are the squared-multinomial sums S_n^(d+1) (pair the
-forward composition with the backward one).  The ad-hoc printed 3d/4d
-diamond kernels are kept in a separate registry and proven equivalent
-through kernel_equivalence rather than trusted.
+The registry kernels are read from the family definitions in
+latgreen.lattices.  The diamond form (1 + sum_i x_i)(1 + sum_i 1/x_i)
+generalizes the honeycomb kernel (1+x+y)(1+1/x+1/y); its constant terms
+are the squared-multinomial sums S_n^(d+1) (pair the forward composition
+with the backward one).  The ad-hoc printed 3d/4d diamond kernels are
+kept in a separate registry and proven equivalent through
+kernel_equivalence rather than trusted.
 
 steps_per_power: two-site kernels (honeycomb, diamond) advance two
 lattice steps per kernel power, so CT[K^n] is the 2n-step count.
@@ -25,10 +20,9 @@ lattice steps per kernel power, so CT[K^n] is the 2n-step count.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
 
-from .errors import ResourceLimit, UnsupportedLattice, UnsupportedTerm
-from .lattices import FAMILIES, LatticeSpec
+from .errors import ResourceLimit, UnsupportedTerm
+from .lattices import LatticeSpec
 from .reports import VerifyReport
 
 DEFAULT_BUDGET = 50_000_000  # monomials held at once
@@ -100,21 +94,24 @@ class LaurentPoly:
         return f"LaurentPoly({self.terms!r})"
 
 
-def _transforms(nvars: int, signs: bool):
-    perms = list(permutations(range(nvars)))
-    sign_sets = list(product((1, -1), repeat=nvars)) if signs else [(1,) * nvars]
-    return [(p, s) for p in perms for s in sign_sets]
+def _generators(nvars: int, symmetry: str):
+    """Coordinate maps that generate the group: one transposition and
+    one d-cycle generate all permutations, and one sign flip added to
+    them generates the hyperoctahedral group."""
+    if symmetry == "none":
+        return []
+    gens = []
+    if nvars > 1:
+        gens += [lambda e: (e[1], e[0]) + e[2:], lambda e: e[1:] + e[:1]]
+    if symmetry == "hyperoctahedral":
+        gens.append(lambda e: (-e[0],) + e[1:])
+    return gens
 
 
-def _is_invariant(poly: LaurentPoly, signs: bool) -> bool:
-    for p, s in _transforms(poly.nvars, signs):
-        moved = {}
-        for k, v in poly.terms.items():
-            nk = tuple(k[p[i]] * s[i] for i in range(poly.nvars))
-            moved[nk] = v
-        if moved != poly.terms:
-            return False
-    return True
+def is_invariant(poly: LaurentPoly, symmetry: str) -> bool:
+    """Is poly invariant under the group?  Checking the generators suffices."""
+    return all({g(k): v for k, v in poly.terms.items()} == poly.terms
+               for g in _generators(poly.nvars, symmetry))
 
 
 @dataclass(frozen=True)
@@ -139,10 +136,12 @@ class KernelSpec:
             raise UnsupportedTerm("steps_per_power must be 1 or 2")
         if self.symmetry not in ("none", "permutation", "hyperoctahedral"):
             raise UnsupportedTerm(f"unknown symmetry {self.symmetry!r}")
-        if self.symmetry != "none" and not _is_invariant(self.kernel, self.symmetry == "hyperoctahedral"):
+        if not is_invariant(self.kernel, self.symmetry):
             raise UnsupportedTerm(f"kernel is not {self.symmetry}-invariant")
         if self.family is not None:
             spec = LatticeSpec(self.family, self.dim)
+            if self.steps_per_power != (2 if spec.row.two_site else 1):
+                raise UnsupportedTerm(f"steps_per_power {self.steps_per_power} is wrong for {self.family}")
             q = spec.coordination
             want = q * q if self.steps_per_power == 2 else q
             if self.kernel.eval_ones() != want:
@@ -150,61 +149,13 @@ class KernelSpec:
                     f"kernel mass {self.kernel.eval_ones()} != expected {want} for {self.family} d={self.dim}"
                 )
 
-    @property
-    def even_only(self) -> bool:
-        """Whether CT[K^n] vanishes for odd n (single-site even lattices)."""
-        if self.family is None:
-            return False
-        return self.steps_per_power == 1 and LatticeSpec(self.family, self.dim).even_only
-
-
-def _pm(i: int, d: int) -> LaurentPoly:
-    return LaurentPoly.var(i, d) + LaurentPoly.var(i, d, -1)
-
 
 def kernel(family: str, d: int) -> KernelSpec:
     """The registry kernel for a lattice family at dimension d."""
-    if family not in FAMILIES:
-        raise UnsupportedLattice(f"unknown family {family!r}")
-    spec = LatticeSpec(family, d)  # validates the dimension
-    if family == "square":
-        k = _pm(0, 2) + _pm(1, 2)
-        return KernelSpec(k, 1, family, d, "hyperoctahedral", "square")
-    if family == "triangular":
-        terms = {}
-        for e in ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)):
-            terms[e] = 1
-        return KernelSpec(LaurentPoly(terms), 1, family, d, "permutation", "triangular")
-    if family in ("honeycomb", "diamond"):
-        fwd = LaurentPoly.constant(1, d) + sum(LaurentPoly.var(i, d) for i in range(d))
-        bwd = LaurentPoly.constant(1, d) + sum(LaurentPoly.var(i, d, -1) for i in range(d))
-        return KernelSpec(fwd * bwd, 2, family, d, "permutation", f"{family}{d}")
-    if family == "sc":
-        k = sum(_pm(i, d) for i in range(d))
-        return KernelSpec(k, 1, family, d, "hyperoctahedral", f"sc{d}")
-    if family == "bcc":
-        k = _pm(0, d)
-        for i in range(1, d):
-            k = k * _pm(i, d)
-        return KernelSpec(k, 1, family, d, "hyperoctahedral", f"bcc{d}")
-    if family == "fcc":
-        k = LaurentPoly.constant(0, d)
-        for i in range(d):
-            for j in range(i + 1, d):
-                k = k + _pm(i, d) * _pm(j, d)
-        return KernelSpec(k, 1, family, d, "hyperoctahedral", f"fcc{d}")
-    if family == "sincos4":
-        terms = {e: 1 for e in product((1, -1), repeat=4) if e[0] * e[1] * e[2] * e[3] > 0}
-        return KernelSpec(LaurentPoly(terms), 1, family, d, "permutation", "sincos4")
-    if family == "triples4":
-        terms = {}
-        for skip in range(4):
-            for s in product((1, -1), repeat=3):
-                e = list(s)
-                e.insert(skip, 0)
-                terms[tuple(e)] = 1
-        return KernelSpec(LaurentPoly(terms), 1, family, d, "hyperoctahedral", "triples4")
-    raise UnsupportedLattice(family)  # pragma: no cover
+    spec = LatticeSpec(family, d)
+    row = spec.row
+    return KernelSpec(LaurentPoly(spec.kernel_terms(), d), 2 if row.two_site else 1,
+                      family, d, row.symmetry, spec.name)
 
 
 def printed_kernels() -> dict[str, KernelSpec]:
@@ -279,34 +230,6 @@ def _reach(poly: LaurentPoly) -> tuple[int, ...]:
     return tuple(r)
 
 
-def ct_power(kspec: KernelSpec, n: int, budget: int = DEFAULT_BUDGET, prune: bool = True) -> int:
-    """Exact CT[K^n] by iterated multiplication.
-
-    A monomial is dropped as soon as some exponent exceeds what the
-    remaining multiplications can cancel (|e_i| > remaining * reach_i);
-    such a monomial cannot reach the constant term, so the result is
-    unchanged.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    K = kspec.kernel
-    reach = _reach(K)
-    cur = {(0,) * K.nvars: 1}
-    for step in range(n):
-        remaining = n - step - 1
-        nxt: dict[tuple[int, ...], int] = {}
-        for e, c in cur.items():
-            for ek, ck in K.terms.items():
-                ne = tuple(a + b for a, b in zip(e, ek))
-                if prune and any(abs(x) > remaining * r for x, r in zip(ne, reach)):
-                    continue
-                nxt[ne] = nxt.get(ne, 0) + c * ck
-        if len(nxt) > budget:
-            raise ResourceLimit(f"{len(nxt)} monomials at power {step + 1} exceeds budget {budget}")
-        cur = {k: v for k, v in nxt.items() if v}
-    return cur.get((0,) * K.nvars, 0)
-
-
 def _canon(symmetry: str):
     if symmetry == "hyperoctahedral":
         return lambda e: tuple(sorted(abs(x) for x in e))
@@ -352,10 +275,8 @@ def ct_series(kspec: KernelSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> li
     """Coefficient table by constant terms, indexed the same way as the
     closed-form tables: even-only families report CT[K^{2n}] at index n,
     everything else CT[K^n].  Unbound kernels report the raw sequence."""
-    if kspec.even_only:
-        raw = ct_sequence(kspec, 2 * n_max, budget)
-        return [raw[2 * n] for n in range(n_max + 1)]
-    return ct_sequence(kspec, n_max, budget)
+    p = LatticeSpec(kspec.family, kspec.dim).powers_per_index if kspec.family else 1
+    return ct_sequence(kspec, p * n_max, budget)[::p]
 
 
 def kernel_equivalence(k1: KernelSpec, k2: KernelSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> VerifyReport:

@@ -1,5 +1,9 @@
 """Closed-form return-count generators for the lattice families.
 
+Each family is defined once, in FAMILIES, by its Laurent step kernel K;
+the coordination number, the table indexing, the constant-term kernel
+and the cosine structure function are all read from that definition.
+
 Conventions.  P(0;z) = sum_n a_n (z/q)^n with q the coordination
 number; a_n counts n-step returns to the origin.  Tables here store,
 per family:
@@ -22,8 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
-from typing import Callable, Sequence
+from itertools import combinations, product
+from math import comb, factorial, gcd, prod
+from typing import Callable, Mapping, Sequence
 
 from .errors import UnsupportedLattice, UnsupportedTerm
 from .reports import VerifyReport
@@ -31,32 +36,58 @@ from .series import PowerSeries
 
 Q = Fraction
 
-FAMILIES = (
-    "honeycomb",
-    "square",
-    "triangular",
-    "diamond",
-    "sc",
-    "bcc",
-    "fcc",
-    "sincos4",
-    "triples4",
-)
 
-# table index n holds the count of (steps_per_index * n)-step returns
-_STEPS_PER_INDEX = {
-    "honeycomb": 2,
-    "square": 2,
-    "triangular": 1,
-    "diamond": 2,
-    "sc": 2,
-    "bcc": 2,
-    "fcc": 1,
-    "sincos4": 2,
-    "triples4": 2,
+# ---------------------------------------------------------------------------
+# lattice families: the one definition every route reads
+
+
+def _signed(d: int, k: int) -> list[tuple[int, ...]]:
+    """Every vector with k entries +-1 and the others 0."""
+    out = []
+    for idx in combinations(range(d), k):
+        for signs in product((1, -1), repeat=k):
+            e = [0] * d
+            for i, s in zip(idx, signs):
+                e[i] = s
+            out.append(tuple(e))
+    return out
+
+
+def _forward(d: int) -> list[tuple[int, ...]]:
+    """The origin and the d unit vectors: the forward bonds of a two-site walk."""
+    return [(0,) * d] + [tuple(int(i == j) for j in range(d)) for i in range(d)]
+
+
+@dataclass(frozen=True)
+class Family:
+    """A lattice family, defined by its Laurent step kernel K.
+
+    steps(d) are the exponent vectors of K's unit monomials.  For a
+    two-site family they are the forward steps and K = fwd(x) fwd(1/x),
+    so one kernel power is two lattice steps.  Table index n holds the
+    count of (steps_per_index * n)-step returns.  symmetry is the group
+    K is claimed to be invariant under: "hyperoctahedral" (coordinate
+    permutations and sign flips) or "permutation".
+    """
+
+    steps: Callable[[int], list[tuple[int, ...]]]
+    steps_per_index: int
+    symmetry: str
+    fixed_dim: int | None = None
+    two_site: bool = False
+
+
+FAMILIES = {
+    "honeycomb": Family(_forward, 2, "permutation", fixed_dim=2, two_site=True),
+    "square": Family(lambda d: _signed(d, 1), 2, "hyperoctahedral", fixed_dim=2),
+    "triangular": Family(lambda d: _signed(d, 1) + [(1, -1), (-1, 1)], 1, "permutation", fixed_dim=2),
+    "diamond": Family(_forward, 2, "permutation", two_site=True),
+    "sc": Family(lambda d: _signed(d, 1), 2, "hyperoctahedral"),
+    "bcc": Family(lambda d: _signed(d, d), 2, "hyperoctahedral"),
+    "fcc": Family(lambda d: _signed(d, 2), 1, "hyperoctahedral"),
+    "sincos4": Family(lambda d: [e for e in _signed(d, d) if prod(e) > 0], 2, "permutation", fixed_dim=4),
+    "triples4": Family(lambda d: _signed(d, 3), 2, "hyperoctahedral", fixed_dim=4),
 }
-
-_FIXED_DIM = {"honeycomb": 2, "square": 2, "triangular": 2, "sincos4": 4, "triples4": 4}
 
 
 @dataclass(frozen=True)
@@ -69,40 +100,65 @@ class LatticeSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise UnsupportedLattice(f"unknown family {self.family!r}")
-        fixed = _FIXED_DIM.get(self.family)
+        fixed = self.row.fixed_dim
         if fixed is not None and self.dim != fixed:
             raise UnsupportedLattice(f"{self.family} exists only at d={fixed}")
         if fixed is None and self.dim < 2:
             raise UnsupportedLattice("dimension must be >= 2")
 
     @property
+    def row(self) -> Family:
+        return FAMILIES[self.family]
+
+    @property
+    def name(self) -> str:
+        """'sc3', 'bcc4', ...; the bare family name when its dimension is fixed."""
+        return self.family if self.row.fixed_dim else f"{self.family}{self.dim}"
+
+    @property
+    def steps(self) -> list[tuple[int, ...]]:
+        return self.row.steps(self.dim)
+
+    @property
     def coordination(self) -> int:
-        f, d = self.family, self.dim
-        if f == "honeycomb":
-            return 3
-        if f == "square":
-            return 4
-        if f == "triangular":
-            return 6
-        if f == "diamond":
-            return d + 1
-        if f == "sc":
-            return 2 * d
-        if f == "bcc":
-            return 2 ** d
-        if f == "fcc":
-            return 2 * d * (d - 1)
-        if f == "sincos4":
-            return 8
-        return 32  # triples4: steps (+-1,+-1,+-1,0) and its coordinate permutations
+        # K has mass q on one-site lattices and q^2 on two-site ones
+        return len(self.steps)
 
     @property
     def steps_per_index(self) -> int:
-        return _STEPS_PER_INDEX[self.family]
+        return self.row.steps_per_index
 
     @property
     def even_only(self) -> bool:
         return self.steps_per_index == 2
+
+    @property
+    def powers_per_index(self) -> int:
+        """Kernel powers per table index: table[n] = CT[K^(powers_per_index * n)]."""
+        return self.steps_per_index // 2 if self.row.two_site else self.steps_per_index
+
+    def kernel_terms(self) -> dict[tuple[int, ...], int]:
+        """K as exponent vector -> coefficient."""
+        steps = self.steps
+        if not self.row.two_site:
+            return dict.fromkeys(steps, 1)
+        out: dict[tuple[int, ...], int] = {}
+        for a in steps:
+            for b in steps:
+                e = tuple(x - y for x, y in zip(a, b))
+                out[e] = out.get(e, 0) + 1
+        return out
+
+
+def parse_lattice(name: str) -> LatticeSpec | None:
+    """The lattice a name like 'sc3', 'bcc4', 'square' or 'sincos4'
+    stands for (see LatticeSpec.name); None when it names no family."""
+    if name in FAMILIES and FAMILIES[name].fixed_dim:
+        return LatticeSpec(name, FAMILIES[name].fixed_dim)
+    stem = name.rstrip("0123456789")
+    if stem in FAMILIES and stem != name:
+        return LatticeSpec(stem, int(name[len(stem):]))
+    return None
 
 
 @dataclass(frozen=True)
@@ -170,10 +226,6 @@ def s5_double_sum(n: int) -> int:
 # family generators
 
 
-def _honeycomb(n: int) -> int:
-    return honeycomb_binomial_sum(n)
-
-
 def _square(n: int) -> int:
     return comb(2 * n, n) ** 2
 
@@ -192,10 +244,6 @@ def _fcc3_table(n_max: int) -> list[int]:
     for n in range(n_max + 1):
         out.append(sum(comb(n, j) * (-4) ** (n - j) * dia[j] for j in range(n + 1)))
     return out
-
-
-def _central(n: int) -> int:
-    return comb(2 * n, n)
 
 
 def _even_binom(e: int) -> int:
@@ -357,28 +405,17 @@ class CosTerm:
             raise UnsupportedTerm("exponents must be >= 0")
 
 
-def _moment_1d(a: int, b: int) -> Fraction:
-    """(1/2pi) int_{-pi}^{pi} cos^a sin^b dk, zero unless a and b are even."""
-    if a % 2 or b % 2:
-        return Q(0)
-    al, be = a // 2, b // 2
-    return Q(factorial(a) * factorial(b), 4 ** (al + be) * factorial(al) * factorial(be) * factorial(al + be))
-
-
-def _parity_classes(terms: Sequence[CosTerm], nvars: int) -> list[tuple[int, ...]]:
-    """Part-parity vectors (p_i mod 2) that keep every per-variable
-    exponent sum even.  The 1-d moments kill every other composition,
-    so enumeration can be restricted to these classes up front."""
+def _parity_classes(terms: Sequence[CosTerm], nvars: int, max_weight: int) -> list[tuple[int, ...]]:
+    """Part-parity vectors (p_i mod 2) with at most max_weight odd parts
+    that keep every per-variable exponent sum even.  The 1-d moments
+    kill every other composition, so enumeration can be restricted to
+    these classes up front."""
     keep = []
-    for bits in range(1 << len(terms)):
-        r = tuple((bits >> i) & 1 for i in range(len(terms)))
-        for v in range(nvars):
-            if sum(ri * t.cos_exps[v] for ri, t in zip(r, terms)) % 2:
-                break
-            if sum(ri * t.sin_exps[v] for ri, t in zip(r, terms)) % 2:
-                break
-        else:
-            keep.append(r)
+    for w in range(min(len(terms), max_weight) + 1):
+        for odd in combinations(range(len(terms)), w):
+            if all(sum(terms[i].cos_exps[v] for i in odd) % 2 == 0
+                   and sum(terms[i].sin_exps[v] for i in odd) % 2 == 0 for v in range(nvars)):
+                keep.append(tuple(int(i in odd) for i in range(len(terms))))
     return keep
 
 
@@ -408,7 +445,7 @@ def cosine_kernel_coeffs(terms: Sequence[CosTerm], n_max: int) -> list[Fraction]
         for _ in range(n_max):
             row.append(row[-1] * t.coef)
         powc.append(row)
-    classes = _parity_classes(terms, nvars)
+    classes = _parity_classes(terms, nvars, n_max)
     cexp = [t.cos_exps for t in terms]
     sexp = [t.sin_exps for t in terms]
     acos = [0] * nvars
@@ -461,63 +498,52 @@ def cosine_kernel_coeffs(terms: Sequence[CosTerm], n_max: int) -> list[Fraction]
     return out
 
 
-def _unit(i: int, d: int, e: int = 1) -> tuple[int, ...]:
-    v = [0] * d
-    v[i] = e
-    return tuple(v)
+def _cosine_expand(kernel: Mapping[tuple[int, ...], int]) -> tuple[list[CosTerm], int]:
+    """K(e^{ik}) as cosine/sine product terms and a common scale.
+
+    Each monomial expands through (cos k_i + i sin(+-k_i))^|e_i|; the real
+    part is kept and the imaginary part must cancel.  The gcd of the
+    coefficients is factored out as the scale, and the terms are sorted
+    by (cos_exps, sin_exps), descending.
+    """
+    real: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    imag: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+    for e, c in kernel.items():
+        # (cos exponents, sin exponents) -> coefficient in units of i^(sum of sin exponents)
+        acc = {((), ()): c}
+        for x in e:
+            a, sign = abs(x), (1 if x > 0 else -1)
+            nxt: dict[tuple[tuple[int, ...], tuple[int, ...]], int] = {}
+            for (ce, se), v in acc.items():
+                for j in range(a + 1):
+                    key = (ce + (a - j,), se + (j,))
+                    nxt[key] = nxt.get(key, 0) + v * comb(a, j) * sign ** j
+            acc = nxt
+        for key, v in acc.items():
+            j = sum(key[1])
+            part = imag if j % 2 else real
+            part[key] = part.get(key, 0) + v * (-1) ** (j // 2)
+    if any(imag.values()):
+        raise UnsupportedTerm("kernel is not real on the torus")
+    real = {k: v for k, v in real.items() if v}
+    scale = gcd(*real.values())
+    return [CosTerm(Q(v // scale), ce, se) for (ce, se), v in sorted(real.items(), reverse=True)], scale
 
 
 def cosine_structure(name: str) -> tuple[list[CosTerm], int]:
-    """Named structure functions as term lists, with the per-power step
-    count s such that n-step returns = s^n * <lambda^n>."""
-    z4 = (0, 0, 0, 0)
-    if name == "square":
-        d = 2
-        return [CosTerm(Q(1), _unit(i, d), (0,) * d) for i in range(d)], 2
-    if name.startswith("sc"):
-        d = int(name[2:])
-        return [CosTerm(Q(1), _unit(i, d), (0,) * d) for i in range(d)], 2
-    if name.startswith("bcc"):
-        d = int(name[3:])
-        return [CosTerm(Q(1), (1,) * d, (0,) * d)], 2 ** d
-    if name.startswith("fcc"):
-        d = int(name[3:])
-        terms = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                e = [0] * d
-                e[i] = e[j] = 1
-                terms.append(CosTerm(Q(1), tuple(e), (0,) * d))
-        return terms, 4
-    if name == "sincos4":
-        return [CosTerm(Q(1), (1, 1, 1, 1), z4), CosTerm(Q(1), z4, (1, 1, 1, 1))], 8
-    if name == "triples4":
-        terms = []
-        for skip in range(4):
-            e = [1] * 4
-            e[skip] = 0
-            terms.append(CosTerm(Q(1), tuple(e), z4))
-        return terms, 8
-    if name == "diamond4_lambda_sq":
-        # |structure|^2 for the 4d diamond two-site walk, expanded over
-        # cos(k_i - k_j) = c_i c_j + s_i s_j; constant 3 included.
-        terms = [CosTerm(Q(3), z4, z4), CosTerm(Q(4), (2, 0, 0, 0), z4)]
-        for j in range(1, 4):
-            e = [0] * 4
-            e[0] = 1
-            e[j] = 1
-            terms.append(CosTerm(Q(4), tuple(e), z4))
-        for (i, j) in ((1, 2), (1, 3), (2, 3)):
-            e = [0] * 4
-            e[i] = e[j] = 1
-            terms.append(CosTerm(Q(2), tuple(e), z4))
-            terms.append(CosTerm(Q(2), z4, tuple(e)))
-        return terms, 1
-    raise UnsupportedTerm(f"no structure named {name!r}")
+    """The structure function lambda of a named lattice (see parse_lattice)
+    as a term list, with the scale s such that K(e^{ik}) = s * lambda,
+    so CT[K^n] = s^n <lambda^n>."""
+    spec = parse_lattice(name)
+    if spec is None:
+        raise UnsupportedTerm(f"no structure named {name!r}")
+    return _cosine_expand(spec.kernel_terms())
 
 
 def cosine_integer_table(name: str, n_max: int) -> list[int]:
-    """n-step return counts from a named structure via the generic engine."""
+    """CT[K^n], n = 0..n_max, for a named lattice via the generic engine:
+    the n-step return counts on one-site lattices, the 2n-step ones on
+    two-site lattices."""
     terms, s = cosine_structure(name)
     moments = cosine_kernel_coeffs(terms, n_max)
     out = []
@@ -538,7 +564,7 @@ def coeffs(spec: LatticeSpec, n_max: int) -> CoeffTable:
     f, d = spec.family, spec.dim
     vals: Sequence[int]
     if f == "honeycomb":
-        vals = [_honeycomb(n) for n in range(n_max + 1)]
+        vals = [honeycomb_binomial_sum(n) for n in range(n_max + 1)]
     elif f == "square":
         vals = [_square(n) for n in range(n_max + 1)]
     elif f == "triangular":

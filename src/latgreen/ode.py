@@ -45,10 +45,6 @@ Q = Fraction
 _MODULAR_CUTOFF = 48
 
 
-def _theta_poly(coeffs: Sequence) -> Poly:
-    return Poly([Q(c) for c in coeffs])
-
-
 def _falling(i: int) -> Poly:
     """theta (theta-1) ... (theta-i+1); empty product for i=0."""
     p = Poly([1])

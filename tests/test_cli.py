@@ -7,6 +7,7 @@ function.
 
 import json
 
+import mpmath as mp
 import pytest
 
 from latgreen import cli
@@ -60,7 +61,25 @@ class TestCoeffs:
         code, doc = run_json(capsys, "coeffs", "--family", "square", "--dim", "2",
                              "--terms", "20", "--method", "all")
         assert code == OK
-        assert doc["checks"]["formula-vs-ct"] is True
+        assert doc["routes"] == ["formula", "ct", "cosine"]
+        assert doc["checks"] == {"formula-vs-ct": True, "formula-vs-cosine": True}
+
+    def test_method_all_fcc5_without_formula(self, capsys):
+        code, doc = run_json(capsys, "coeffs", "--family", "fcc", "--dim", "5",
+                             "--terms", "5", "--method", "all")
+        assert code == OK
+        assert doc["routes"] == ["ct", "cosine"]
+        assert doc["checks"] == {"ct-vs-cosine": True}
+        assert doc["table"][2] == "40"
+
+    @pytest.mark.parametrize("family,dim", [("honeycomb", 2), ("triangular", 2),
+                                            ("diamond", 3)])
+    def test_cosine_route_two_site_and_triangular(self, capsys, family, dim):
+        argv = ["coeffs", "--family", family, "--dim", str(dim), "--terms", "8"]
+        code, doc = run_json(capsys, *argv, "--method", "cosine")
+        assert code == OK
+        _, want = run_json(capsys, *argv)
+        assert doc["table"] == want["table"]
 
     def test_deterministic_output(self, capsys):
         argv = ["coeffs", "--family", "sc", "--dim", "3", "--terms", "15"]
@@ -233,6 +252,17 @@ class TestEval:
                              "--prec", "12")
         assert code == OK
         assert doc["value"].startswith("1.5163860")
+
+    def test_watson_prints_every_requested_digit(self, capsys):
+        code, doc = run_json(capsys, "eval", "watson", "--lattice", "sc",
+                             "--prec", "40")
+        assert code == OK
+        with mp.workdps(60):
+            # Glasser-Zucker: W = sqrt(6)/(32 pi^3) G(1/24) G(5/24) G(7/24) G(11/24)
+            g = mp.gamma
+            want = (mp.sqrt(6) / (32 * mp.pi ** 3) * g(mp.mpf(1) / 24) * g(mp.mpf(5) / 24)
+                    * g(mp.mpf(7) / 24) * g(mp.mpf(11) / 24))
+            assert abs(mp.mpf(doc["value"]) - want) < mp.mpf(10) ** -37
 
     def test_lgf_bcc4_at_one(self, capsys):
         code, doc = run_json(capsys, "eval", "lgf", "--family", "bcc",

@@ -1,22 +1,25 @@
 """CT engine against closed-form tables and the printed kernel registry."""
 
+from itertools import permutations, product
+
 import pytest
 
 from latgreen.constant_term import (
     KernelSpec,
     LaurentPoly,
-    ct_power,
     ct_sequence,
     ct_series,
     format_kernel,
+    is_invariant,
     kernel,
     kernel_equivalence,
     parse_kernel,
     printed_kernels,
 )
 from latgreen.errors import ResourceLimit, UnsupportedTerm
-from latgreen.lattices import LatticeSpec, coeffs, structure_sums
+from latgreen.lattices import FAMILIES, LatticeSpec, coeffs, cosine_integer_table, structure_sums
 
+from test_acceptance import CT_CASES
 from test_lattices import perms_signed, walk_counts
 
 
@@ -59,29 +62,42 @@ def test_fcc4_kernel_shape():
     assert set(ks.kernel.terms.values()) == {1}
 
 
-def test_ct_power_examples():
-    assert ct_power(kernel("square", 2), 2) == 4
-    assert ct_power(printed_kernels()["bcc3"], 2) == 8
-    assert ct_power(printed_kernels()["honeycomb"], 2) == 15
+def _registry_kernels(max_dim):
+    for family, row in FAMILIES.items():
+        for d in [row.fixed_dim] if row.fixed_dim else range(2, max_dim + 1):
+            yield f"{family}{d}", kernel(family, d)
 
 
-def test_ct_power_zero_and_odd():
-    sq = kernel("square", 2)
-    assert ct_power(sq, 0) == 1
-    assert ct_power(sq, 3) == 0
+def _literal_powers(ks, n_max):
+    """CT of K, K*K, ..., K^n_max by plain LaurentPoly products: no
+    pruning and no symmetry folding, so an independent reference."""
+    power = LaurentPoly.constant(1, ks.kernel.nvars)
+    out = [1]
+    for _ in range(n_max):
+        power = power * ks.kernel
+        out.append(power.constant_term)
+    return out
+
+
+def test_ct_sequence_examples():
+    assert ct_sequence(kernel("square", 2), 2)[2] == 4
+    assert ct_sequence(printed_kernels()["bcc3"], 2)[2] == 8
+    assert ct_sequence(printed_kernels()["honeycomb"], 2)[2] == 15
+
+
+def test_ct_sequence_zero_and_odd():
+    seq = ct_sequence(kernel("square", 2), 3)
+    assert seq[0] == 1
+    assert seq[3] == 0
 
 
 def test_pruning_agrees_with_unpruned():
+    # ct_sequence prunes monomials that cannot return and folds the rest
+    # onto symmetry classes; the literal power does neither
     for name, ks in printed_kernels().items():
-        for n in range(9):
-            assert ct_power(ks, n, prune=True) == ct_power(ks, n, prune=False), (name, n)
-
-
-def test_ct_power_matches_sequence():
-    ks = kernel("fcc", 3)
-    seq = ct_sequence(ks, 8)
-    for n in (0, 3, 5, 8):
-        assert ct_power(ks, n) == seq[n]
+        assert ct_sequence(ks, 8) == _literal_powers(ks, 8), name
+    for name, ks in _registry_kernels(3):
+        assert ct_sequence(ks, 6) == _literal_powers(ks, 6), name
 
 
 @pytest.mark.parametrize(
@@ -162,7 +178,8 @@ def test_budget_limit():
     with pytest.raises(ResourceLimit):
         ct_sequence(kernel("fcc", 4), 10, budget=5)
     with pytest.raises(ResourceLimit):
-        ct_power(kernel("bcc", 4), 8, budget=10)
+        ct_sequence(kernel("bcc", 4), 8, budget=10)
+    assert len(ct_sequence(kernel("bcc", 4), 8, budget=20)) == 9
 
 
 def test_kernel_text_round_trip():
@@ -191,3 +208,48 @@ def test_user_kernel_sequence():
 def test_symmetry_claims_validated():
     with pytest.raises(UnsupportedTerm):
         KernelSpec(parse_kernel("1 1 0\n1 0 1\n"), 1, symmetry="hyperoctahedral")
+
+
+def _brute_force_invariant(poly, symmetry):
+    # all d! * 2^d coordinate transforms (all d! for "permutation")
+    d = poly.nvars
+    signs = product((1, -1), repeat=d) if symmetry == "hyperoctahedral" else [(1,) * d]
+    for s, p in product(list(signs), list(permutations(range(d)))):
+        moved = {tuple(k[p[i]] * s[i] for i in range(d)): v for k, v in poly.terms.items()}
+        if moved != poly.terms:
+            return False
+    return True
+
+
+def test_generator_symmetry_check_matches_brute_force():
+    kernels = list(printed_kernels().items()) + list(_registry_kernels(4))
+    verdicts = set()
+    for name, ks in kernels:
+        for symmetry in ("permutation", "hyperoctahedral"):
+            want = _brute_force_invariant(ks.kernel, symmetry)
+            assert is_invariant(ks.kernel, symmetry) == want, (name, symmetry)
+            verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def test_registry_kernels_fast_to_build():
+    # the symmetry claim is checked on the group's generators, not on
+    # all d! * 2^d transforms (bcc d=6 took seconds that way)
+    import time
+
+    start = time.perf_counter()
+    for family in ("bcc", "fcc"):
+        kernel(family, 6)
+    assert time.perf_counter() - start < 0.5
+
+
+@pytest.mark.parametrize("family,d", CT_CASES + [("fcc", 5), ("fcc", 6)])
+def test_routes_agree(family, d):
+    """Formula (where it exists), CT and cosine give the same table."""
+    spec = LatticeSpec(family, d)
+    n = 6 if d <= 3 else 4
+    p = spec.powers_per_index
+    ct = ct_series(kernel(family, d), n)
+    assert cosine_integer_table(spec.name, p * n)[::p] == ct
+    if family != "fcc" or d <= 4:
+        assert list(coeffs(spec, n).values) == ct

@@ -5,9 +5,10 @@ from itertools import permutations, product
 
 import pytest
 
-from latgreen.errors import UnsupportedLattice
+from latgreen.errors import UnsupportedLattice, UnsupportedTerm
 from latgreen.lattices import (
     CosTerm,
+    _cosine_expand,
     LatticeSpec,
     coeffs,
     cosine_integer_table,
@@ -18,6 +19,7 @@ from latgreen.lattices import (
     fcc4_table,
     honeycomb_binomial_sum,
     hypergeometric_forms_check,
+    parse_lattice,
     relation_fcc_from_diamond,
     relation_sc_from_hyperdiamond,
     relation_triangular_from_honeycomb,
@@ -307,10 +309,49 @@ def test_cosine_table_sincos4():
 
 
 def test_diamond4_structure_moments_are_s5():
-    terms, scale = cosine_structure("diamond4_lambda_sq")
-    assert scale == 1
-    moments = cosine_kernel_coeffs(terms, 4)
-    assert moments == [Q(v) for v in structure_sums(5, 4)]
+    assert cosine_integer_table("diamond4", 4) == structure_sums(5, 4)
+
+
+def _structure(name):
+    terms, scale = cosine_structure(name)
+    return [(t.coef, t.cos_exps, t.sin_exps) for t in terms], scale
+
+
+def test_cosine_structures_from_kernels():
+    one = Q(1)
+    assert _structure("sc3") == ([(one, (1, 0, 0), (0, 0, 0)), (one, (0, 1, 0), (0, 0, 0)),
+                                  (one, (0, 0, 1), (0, 0, 0))], 2)
+    assert _structure("bcc4") == ([(one, (1, 1, 1, 1), (0, 0, 0, 0))], 16)
+    assert _structure("fcc3") == ([(one, (1, 1, 0), (0, 0, 0)), (one, (1, 0, 1), (0, 0, 0)),
+                                   (one, (0, 1, 1), (0, 0, 0))], 4)
+    assert _structure("sincos4") == ([(one, (1, 1, 1, 1), (0, 0, 0, 0)),
+                                      (one, (0, 0, 0, 0), (1, 1, 1, 1))], 8)
+    assert _structure("triples4") == ([(one, e, (0, 0, 0, 0)) for e in
+                                       [(1, 1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1), (0, 1, 1, 1)]], 8)
+    # (1+x+y)(1+1/x+1/y) = 3 + 2 cos k1 + 2 cos k2 + 2 cos(k1 - k2)
+    assert _structure("honeycomb") == ([(Q(2), (1, 1), (0, 0)), (Q(2), (1, 0), (0, 0)),
+                                        (Q(2), (0, 1), (0, 0)), (Q(2), (0, 0), (1, 1)),
+                                        (Q(3), (0, 0), (0, 0))], 1)
+
+
+def test_cosine_structure_rejects_bad_names_and_kernels():
+    with pytest.raises(UnsupportedTerm):
+        cosine_structure("kagome2")
+    with pytest.raises(UnsupportedTerm):
+        _cosine_expand({(1, 0): 1, (0, 1): 1})  # x + y is not real on the torus
+
+
+def test_parse_lattice():
+    assert parse_lattice("sc3") == LatticeSpec("sc", 3)
+    assert parse_lattice("square") == LatticeSpec("square", 2)
+    assert parse_lattice("sincos4") == LatticeSpec("sincos4", 4)
+    assert parse_lattice("honeycomb2") == LatticeSpec("honeycomb", 2)
+    assert parse_lattice("apery-zeta2") is None
+    assert parse_lattice("sc") is None
+    for spec in (LatticeSpec("fcc", 5), LatticeSpec("triples4", 4), LatticeSpec("diamond", 3)):
+        assert parse_lattice(spec.name) == spec
+    with pytest.raises(UnsupportedLattice):
+        parse_lattice("sc1")
 
 
 # -- cross-family relations -------------------------------------------------
