@@ -100,6 +100,14 @@ def test_pruning_agrees_with_unpruned():
         assert ct_sequence(ks, 6) == _literal_powers(ks, 6), name
 
 
+def test_ct_power_matches_sequence():
+    ks = kernel("fcc", 3)
+    seq = ct_sequence(ks, 8)
+    powers = _literal_powers(ks, 8)
+    for n in (0, 3, 5, 8):
+        assert powers[n] == seq[n]
+
+
 @pytest.mark.parametrize(
     "family,d",
     [
