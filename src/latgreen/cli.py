@@ -7,6 +7,11 @@ keys; every big integer and every float travels as a decimal string so
 nothing is rounded by the transport.  Exit codes: 0 success, 2 a
 verification or tolerance failure, 3 a resource limit, 4 a usage error.
 
+Each `cmd_*` function maps parsed arguments to a report holding `passed`
+and its results; `main` is the one runner that times it, adds `command`
+and `inputs`, picks the exit code and prints the document, including the
+error document of a failed command.
+
 Cache files: one per lattice, `<dir>/<family>-<dim>.txt`, a header line
 `lgf-cache v1 <family> <dim> <count>` then one decimal integer per line.
 Writes go through a temp file and rename, so a reader never sees a
@@ -34,9 +39,6 @@ from .errors import (
     FitFailure,
     InsufficientTerms,
     LatticeGFError,
-    NotMUM,
-    NotSymmetricSquare,
-    PrecisionNotMet,
     ResourceLimit,
     UnknownOperator,
     UnsupportedLattice,
@@ -81,6 +83,28 @@ def _default_prec() -> int:
         return 30
 
 
+def _at_least(lo: int):
+    """argparse type: an integer >= lo."""
+    def parse(text: str) -> int:
+        v = int(text)
+        if v < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {v}")
+        return v
+    parse.__name__ = "int"  # argparse names the type in its error message
+    return parse
+
+
+def _real(text: str) -> str:
+    """argparse type: a finite real, kept as text so it converts at the
+    command's working precision."""
+    try:
+        if mp.isfinite(mp.mpf(text)):
+            return text
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"not a finite real: {text!r}")
+
+
 def _fstr(v, prec: int) -> str:
     # an mpf keeps its own precision; anything else converts at prec digits
     with mp.workdps(prec):
@@ -94,9 +118,10 @@ def _qstr(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _emit(doc: dict, started: float) -> None:
-    doc["timing_ms"] = int((time.monotonic() - started) * 1000)
-    print(json.dumps(doc, indent=2, sort_keys=True))
+def _conditions(reports) -> dict:
+    return {"conditions": [{"name": r.name, "passed": r.passed, "detail": r.detail}
+                           for r in reports],
+            "passed": all(r.passed for r in reports)}
 
 
 # -- cache persistence --------------------------------------------------------
@@ -149,12 +174,9 @@ def _table_by(method: str, spec: LatticeSpec, count: int) -> list[int]:
     raise UsageExit(f"unknown method {method!r}")
 
 
-def cmd_coeffs(args) -> int:
-    started = time.monotonic()
+def cmd_coeffs(args) -> dict:
     spec = LatticeSpec(args.family, args.dim)
     count = args.terms
-    if count < 1:
-        raise UsageExit("--terms must be >= 1")
 
     cpath = _cache_path(args.cache_dir, spec.family, spec.dim) if args.cache_dir else None
     cached: list[int] | None = None
@@ -167,11 +189,7 @@ def cmd_coeffs(args) -> int:
         except ValueError as exc:
             cached, cache_problem = None, str(exc)
 
-    doc = {"command": "coeffs",
-           "inputs": {"family": spec.family, "dim": spec.dim,
-                      "terms": count, "method": args.method},
-           "passed": True}
-
+    doc = {"passed": True}
     if args.method == "all":
         tables = {}
         try:
@@ -188,52 +206,48 @@ def cmd_coeffs(args) -> int:
         elif cached is not None:
             k = min(len(cached), count)
             checks[f"cache-vs-{first}"] = cached[:k] == table[:k]
-        doc["routes"] = list(tables)
-        doc["checks"] = checks
-        doc["passed"] = all(checks.values())
+        doc = {"routes": list(tables), "checks": checks, "passed": all(checks.values())}
         if not doc["passed"]:
             doc["detail"] = cache_problem or "route disagreement"
-            _emit(doc, started)
-            return FAIL
+            return doc
         if cpath and (cached is None or len(cached) < count):
             write_cache(cpath, spec.family, spec.dim, table)
+    elif cached is not None and len(cached) >= count:
+        table = cached[:count]
     else:
-        if cached is not None and len(cached) >= count:
-            table = cached[:count]
-        else:
-            table = _table_by(args.method, spec, count)
-            if cpath:
-                write_cache(cpath, spec.family, spec.dim, table)
-
-    if args.format == "csv":
-        print("n,a_n")
-        for n, v in enumerate(table):
-            print(f"{n},{v}")
-        return OK
+        table = _table_by(args.method, spec, count)
+        if cpath:
+            write_cache(cpath, spec.family, spec.dim, table)
     doc["table"] = [str(v) for v in table]
-    _emit(doc, started)
-    return OK
+    return doc
 
 
 # -- ode ----------------------------------------------------------------------
 
 def _load_operator(args):
-    if getattr(args, "op_file", None):
+    if args.op_file:
         with open(args.op_file) as fh:
-            return parse_operator(fh.read(), note=args.op_file)
-    if getattr(args, "name", None):
+            text = fh.read()
+        try:
+            return parse_operator(text, note=args.op_file)
+        except ValueError as exc:
+            raise UsageExit(f"--op-file {args.op_file}: {exc}") from None
+    if args.name:
         return registry(args.name)
     raise UsageExit("give an operator name or --op-file; names: "
                     + ", ".join(registry_names()))
 
 
 def _series_for(args, op, n_max: int) -> tuple[PowerSeries, str]:
-    if getattr(args, "series_cache", None):
-        _, _, values = read_cache(args.series_cache)
+    if args.series_cache:
+        try:
+            _, _, values = read_cache(args.series_cache)
+        except ValueError as exc:
+            raise UsageExit(f"--series-cache {args.series_cache}: {exc}") from None
         if len(values) < n_max + 1:
             raise UsageExit(f"cache holds {len(values)} terms, need {n_max + 1}")
         return PowerSeries(values[: n_max + 1]), "cache"
-    if getattr(args, "family", None):
+    if args.family:
         spec = LatticeSpec(args.family, args.dim)
         return PowerSeries(list(coeffs(spec, n_max).values)), "table"
     name = getattr(args, "name", None)
@@ -247,215 +261,119 @@ def _series_for(args, op, n_max: int) -> tuple[PowerSeries, str]:
     return op.series_solution(n_max), "recurrence"
 
 
-def cmd_ode_verify(args) -> int:
-    started = time.monotonic()
+def cmd_ode_verify(args) -> dict:
     op = _load_operator(args)
     series, source = _series_for(args, op, args.terms)
     rep = op.annihilates(series)
-    doc = {"command": "ode-verify",
-           "inputs": {"operator": args.name or args.op_file, "terms": args.terms,
-                      "series_source": source},
-           "order": op.order, "degree": op.degree,
-           "passed": rep.passed, "detail": rep.note}
-    _emit(doc, started)
-    return OK if rep.passed else FAIL
+    return {"series_source": source, "order": op.order, "degree": op.degree,
+            "passed": rep.passed, "detail": rep.note}
 
 
-def cmd_ode_fit(args) -> int:
-    started = time.monotonic()
+def cmd_ode_fit(args) -> dict:
     series, source = _series_for(args, None, args.terms)
     if args.degree is not None:
         op = fit_ode(series, args.order, args.degree)
         if op is None:
-            doc = {"command": "ode-fit", "passed": False,
-                   "detail": f"no order-{args.order} degree-{args.degree} annihilator"}
-            _emit(doc, started)
-            return FAIL
+            raise FitFailure(f"no order-{args.order} degree-{args.degree} annihilator")
     else:
         op = fit_minimal_degree(series, args.order, args.max_degree)
     text = write_operator(op)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
-    doc = {"command": "ode-fit",
-           "inputs": {"order": args.order, "terms": args.terms,
-                      "series_source": source},
-           "order": op.order, "degree": op.degree,
-           "operator": text.splitlines(), "passed": True}
-    _emit(doc, started)
-    return OK
+    return {"series_source": source, "order": op.order, "degree": op.degree,
+            "operator": text.splitlines(), "passed": True}
 
 
-def cmd_ode_frobenius(args) -> int:
-    started = time.monotonic()
-    op = _load_operator(args)
-    basis = frobenius(op, args.terms)
+def cmd_ode_frobenius(args) -> dict:
+    basis = frobenius(_load_operator(args), args.terms)
     sols = [{"log_degree": y.log_degree,
              "parts": [[_qstr(c) for c in p.coeffs] for p in y.parts]}
             for y in basis]
-    doc = {"command": "ode-frobenius",
-           "inputs": {"operator": args.name or args.op_file, "terms": args.terms},
-           "solutions": sols, "passed": True}
-    _emit(doc, started)
-    return OK
+    return {"solutions": sols, "passed": True}
 
 
-def cmd_ode_yukawa(args) -> int:
-    started = time.monotonic()
-    op = _load_operator(args)
-    yk = yukawa(op, args.terms, depth=args.depth)
-    doc = {"command": "ode-yukawa",
-           "inputs": {"operator": args.name or args.op_file, "terms": args.terms},
-           "K_coeffs": [_qstr(c) for c in yk.K_coeffs],
-           "instantons": [_qstr(v) for v in yk.instantons],
-           "scaled_instantons": [_qstr(yk.s * v) for v in yk.instantons],
-           "s": yk.s, "passed": True}
-    _emit(doc, started)
-    return OK
+def cmd_ode_yukawa(args) -> dict:
+    yk = yukawa(_load_operator(args), args.terms, depth=args.depth)
+    return {"K_coeffs": [_qstr(c) for c in yk.K_coeffs],
+            "instantons": [_qstr(v) for v in yk.instantons],
+            "scaled_instantons": [_qstr(yk.s * v) for v in yk.instantons],
+            "s": yk.s, "passed": True}
 
 
-def cmd_ode_cy_report(args) -> int:
-    started = time.monotonic()
-    op = _load_operator(args)
-    reports = cy_conditions_report(op, args.terms)
-    doc = {"command": "ode-cy-report",
-           "inputs": {"operator": args.name or args.op_file, "terms": args.terms},
-           "conditions": [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                          for r in reports],
-           "passed": all(r.passed for r in reports)}
-    _emit(doc, started)
-    return OK if doc["passed"] else FAIL
+def cmd_ode_cy_report(args) -> dict:
+    return _conditions(cy_conditions_report(_load_operator(args), args.terms))
 
 
-def cmd_ode_wronskian(args) -> int:
-    started = time.monotonic()
-    op = _load_operator(args)
-    rep = wronskian_cy_check(op, args.terms)
-    doc = {"command": "ode-wronskian",
-           "inputs": {"operator": args.name or args.op_file, "terms": args.terms},
-           "passed": rep.passed, "detail": rep.note}
-    _emit(doc, started)
-    return OK if rep.passed else FAIL
+def cmd_ode_wronskian(args) -> dict:
+    rep = wronskian_cy_check(_load_operator(args), args.terms)
+    return {"passed": rep.passed, "detail": rep.note}
 
 
-def cmd_ode_symsq(args) -> int:
-    started = time.monotonic()
+def cmd_ode_symsq(args) -> dict:
     op = _load_operator(args)
     try:
         P, Qf, rep = symmetric_square_check(op)
     except ValueError as exc:
         raise UsageExit(str(exc)) from None
-    except NotSymmetricSquare as exc:
-        doc = {"command": "ode-symsq",
-               "inputs": {"operator": args.name or args.op_file},
-               "passed": False, "detail": str(exc)}
-        _emit(doc, started)
-        return FAIL
-    doc = {"command": "ode-symsq",
-           "inputs": {"operator": args.name or args.op_file},
-           "P": repr(P), "Q": repr(Qf),
-           "passed": rep.passed, "detail": rep.note}
-    _emit(doc, started)
-    return OK if rep.passed else FAIL
+    return {"P": repr(P), "Q": repr(Qf), "passed": rep.passed, "detail": rep.note}
 
 
 # -- eval ---------------------------------------------------------------------
 
-def cmd_eval_lgf(args) -> int:
-    started = time.monotonic()
+def cmd_eval_lgf(args) -> dict:
     spec = LatticeSpec(args.family, args.dim)
     tail = "power-law-corrected" if args.tail == "corrected" else "none"
     r = analytic.lgf_series_eval(spec, args.z, args.prec, terms=args.terms, tail=tail)
-    doc = {"command": "eval-lgf",
-           "inputs": {"family": spec.family, "dim": spec.dim, "z": args.z,
-                      "tail": args.tail, "prec": args.prec},
-           "value": _fstr(r.value, args.prec),
-           "error_bound": _fstr(r.error, 3),
-           "terms_used": r.terms_used, "note": r.note, "passed": True}
-    _emit(doc, started)
-    return OK
+    return {"value": _fstr(r.value, args.prec), "error_bound": _fstr(r.error, 3),
+            "terms_used": r.terms_used, "note": r.note, "passed": True}
 
 
-def cmd_eval_watson(args) -> int:
-    started = time.monotonic()
-    v = analytic.watson(args.lattice, args.prec)
-    doc = {"command": "eval-watson", "inputs": {"lattice": args.lattice,
-                                                "prec": args.prec},
-           "value": _fstr(v, args.prec), "passed": True}
-    _emit(doc, started)
-    return OK
+def cmd_eval_watson(args) -> dict:
+    return {"value": _fstr(analytic.watson(args.lattice, args.prec), args.prec),
+            "passed": True}
 
 
-def cmd_eval_ramanujan(args) -> int:
-    started = time.monotonic()
+def cmd_eval_ramanujan(args) -> dict:
     partial, target, err = analytic.ramanujan_eval(args.id, args.terms, args.prec)
-    doc = {"command": "eval-ramanujan",
-           "inputs": {"id": args.id, "terms": args.terms, "prec": args.prec},
-           "partial_sum": _fstr(partial, args.prec),
-           "target": _fstr(target, args.prec),
-           "abs_error": _fstr(err, 3), "passed": True}
-    _emit(doc, started)
-    return OK
+    return {"partial_sum": _fstr(partial, args.prec),
+            "target": _fstr(target, args.prec),
+            "abs_error": _fstr(err, 3), "passed": True}
 
 
-def cmd_eval_bessel(args) -> int:
-    started = time.monotonic()
-    doc = {"command": "eval-bessel",
-           "inputs": {"check": args.check, "d": args.d, "z": args.z,
-                      "prec": args.prec}}
+def cmd_eval_bessel(args) -> dict:
     if args.check == "abel":
-        reports = analytic.abel_forward_check(args.d, args.z, args.prec)
-        doc["conditions"] = [{"name": r.name, "passed": r.passed, "detail": r.detail}
-                             for r in reports]
-        doc["passed"] = all(r.passed for r in reports)
-    else:
-        fn = {"sc": analytic.bessel_sc_check,
-              "diamond": analytic.bessel_diamond_check,
-              "connection": analytic.bessel_connection_check}[args.check]
-        c = fn(args.d, args.z, args.prec)
-        doc["lhs"] = _fstr(c.lhs, args.prec)
-        doc["rhs"] = _fstr(c.rhs, args.prec)
-        doc["tolerance"] = _fstr(c.error, 3)
-        doc["passed"] = bool(c)
-    _emit(doc, started)
-    return OK if doc["passed"] else FAIL
+        return _conditions(analytic.abel_forward_check(args.d, args.z, args.prec))
+    fn = {"sc": analytic.bessel_sc_check,
+          "diamond": analytic.bessel_diamond_check,
+          "connection": analytic.bessel_connection_check}[args.check]
+    c = fn(args.d, args.z, args.prec)
+    return {"lhs": _fstr(c.lhs, args.prec), "rhs": _fstr(c.rhs, args.prec),
+            "tolerance": _fstr(c.error, 3), "passed": bool(c)}
 
 
-def cmd_eval_mahler(args) -> int:
-    started = time.monotonic()
+def cmd_eval_mahler(args) -> dict:
     try:
         raw = json.loads(args.coeffs)
         F = {tuple(int(p) for p in k.split(",")): v for k, v in raw.items()}
-    except (ValueError, AttributeError) as exc:
+        for v in F.values():
+            if not mp.isfinite(mp.mpf(v)):
+                raise ValueError(f"coefficient {v!r} is not finite")
+    except (ValueError, TypeError, AttributeError) as exc:
         raise UsageExit(f"--coeffs wants JSON like '{{\"1,0\": 1}}': {exc}") from None
     v, err = analytic.log_mahler_measure(F, args.prec)
-    doc = {"command": "eval-mahler", "inputs": {"coeffs": raw, "prec": args.prec},
-           "value": _fstr(v, args.prec), "error_bound": _fstr(err, 3),
-           "passed": True}
-    _emit(doc, started)
-    return OK
+    return {"value": _fstr(v, args.prec), "error_bound": _fstr(err, 3), "passed": True}
 
 
-def cmd_eval_maps(args) -> int:
-    started = time.monotonic()
+def cmd_eval_maps(args) -> dict:
     z, v = analytic.honeycomb_map_eval(args.target, args.xi, args.prec)
-    doc = {"command": "eval-maps",
-           "inputs": {"target": args.target, "xi": args.xi, "prec": args.prec},
-           "z": {"re": _fstr(mp.re(z), args.prec), "im": _fstr(mp.im(z), args.prec)},
-           "value": _fstr(v, args.prec), "passed": True}
-    _emit(doc, started)
-    return OK
+    return {"z": {"re": _fstr(mp.re(z), args.prec), "im": _fstr(mp.im(z), args.prec)},
+            "value": _fstr(v, args.prec), "passed": True}
 
 
-def cmd_eval_return_prob(args) -> int:
-    started = time.monotonic()
-    spec = LatticeSpec(args.family, args.dim)
-    v = analytic.return_probability(spec, args.prec)
-    doc = {"command": "eval-return-prob",
-           "inputs": {"family": spec.family, "dim": spec.dim, "prec": args.prec},
-           "value": _fstr(v, args.prec), "passed": True}
-    _emit(doc, started)
-    return OK
+def cmd_eval_return_prob(args) -> dict:
+    v = analytic.return_probability(LatticeSpec(args.family, args.dim), args.prec)
+    return {"value": _fstr(v, args.prec), "passed": True}
 
 
 # -- wiring -------------------------------------------------------------------
@@ -463,7 +381,7 @@ def cmd_eval_return_prob(args) -> int:
 def _add_op_args(p, with_series=False, terms_default=40):
     p.add_argument("name", nargs="?", help="registry operator name")
     p.add_argument("--op-file", help="operator exchange file")
-    p.add_argument("--terms", type=int, default=terms_default)
+    p.add_argument("--terms", type=_at_least(1), default=terms_default)
     if with_series:
         p.add_argument("--family")
         p.add_argument("--dim", type=int, default=0)
@@ -472,13 +390,14 @@ def _add_op_args(p, with_series=False, terms_default=40):
 
 def build_parser() -> _Parser:
     prec = _default_prec()
+    natural, positive = _at_least(0), _at_least(1)
     top = _Parser(prog="lgf", description=__doc__.splitlines()[0])
     sub = top.add_subparsers(dest="group", required=True)
 
     pc = sub.add_parser("coeffs", help="walk-count tables")
     pc.add_argument("--family", required=True)
     pc.add_argument("--dim", type=int, required=True)
-    pc.add_argument("--terms", type=int, default=10)
+    pc.add_argument("--terms", type=positive, default=10)
     pc.add_argument("--method", choices=["formula", "ct", "cosine", "all"],
                     default="formula")
     pc.add_argument("--format", choices=["json", "csv"], default="json")
@@ -494,10 +413,10 @@ def build_parser() -> _Parser:
     pf.add_argument("--family")
     pf.add_argument("--dim", type=int, default=0)
     pf.add_argument("--series-cache")
-    pf.add_argument("--terms", type=int, default=60)
-    pf.add_argument("--order", type=int, required=True)
-    pf.add_argument("--degree", type=int)
-    pf.add_argument("--max-degree", type=int, default=8)
+    pf.add_argument("--terms", type=positive, default=60)
+    pf.add_argument("--order", type=positive, required=True)
+    pf.add_argument("--degree", type=natural)
+    pf.add_argument("--max-degree", type=positive, default=8)
     pf.add_argument("--out", help="write the operator exchange file here")
     pf.set_defaults(func=cmd_ode_fit)
     pb = osub.add_parser("frobenius")
@@ -505,7 +424,7 @@ def build_parser() -> _Parser:
     pb.set_defaults(func=cmd_ode_frobenius)
     py = osub.add_parser("yukawa")
     _add_op_args(py, terms_default=30)
-    py.add_argument("--depth", type=int, default=6)
+    py.add_argument("--depth", type=positive, default=6)
     py.set_defaults(func=cmd_ode_yukawa)
     pr = osub.add_parser("cy-report")
     _add_op_args(pr, terms_default=32)
@@ -522,70 +441,85 @@ def build_parser() -> _Parser:
     el = esub.add_parser("lgf")
     el.add_argument("--family", required=True)
     el.add_argument("--dim", type=int, required=True)
-    el.add_argument("--z", required=True)
+    el.add_argument("--z", type=_real, required=True)
     el.add_argument("--tail", choices=["none", "corrected"], default="none")
-    el.add_argument("--terms", type=int)
-    el.add_argument("--prec", type=int, default=prec)
+    el.add_argument("--terms", type=positive)
+    el.add_argument("--prec", type=positive, default=prec)
     el.set_defaults(func=cmd_eval_lgf)
     ew = esub.add_parser("watson")
     ew.add_argument("--lattice", required=True)
-    ew.add_argument("--prec", type=int, default=prec)
+    ew.add_argument("--prec", type=positive, default=prec)
     ew.set_defaults(func=cmd_eval_watson)
     er = esub.add_parser("ramanujan")
     er.add_argument("--id", required=True)
-    er.add_argument("--terms", type=int, default=50)
-    er.add_argument("--prec", type=int, default=prec)
+    er.add_argument("--terms", type=positive, default=50)
+    er.add_argument("--prec", type=positive, default=prec)
     er.set_defaults(func=cmd_eval_ramanujan)
     eb = esub.add_parser("bessel")
     eb.add_argument("--check", choices=["sc", "diamond", "connection", "abel"],
                     required=True)
-    eb.add_argument("--d", type=int, default=3)
-    eb.add_argument("--z", required=True)
-    eb.add_argument("--prec", type=int, default=min(prec, 16))
+    eb.add_argument("--d", type=_at_least(2), default=3)
+    eb.add_argument("--z", type=_real, required=True)
+    eb.add_argument("--prec", type=positive, default=min(prec, 16))
     eb.set_defaults(func=cmd_eval_bessel)
     em = esub.add_parser("mahler")
     em.add_argument("--coeffs", required=True,
                     help='JSON exponent->coeff map, e.g. \'{"1,0": 1, "-1,0": 1}\'')
-    em.add_argument("--prec", type=int, default=min(prec, 20))
+    em.add_argument("--prec", type=positive, default=min(prec, 20))
     em.set_defaults(func=cmd_eval_mahler)
     ep = esub.add_parser("maps")
     ep.add_argument("--target", required=True)
-    ep.add_argument("--xi", required=True)
-    ep.add_argument("--prec", type=int, default=prec)
+    ep.add_argument("--xi", type=_real, required=True)
+    ep.add_argument("--prec", type=positive, default=prec)
     ep.set_defaults(func=cmd_eval_maps)
     eq = esub.add_parser("return-prob")
     eq.add_argument("--family", required=True)
     eq.add_argument("--dim", type=int, required=True)
-    eq.add_argument("--prec", type=int, default=prec)
+    eq.add_argument("--prec", type=positive, default=prec)
     eq.set_defaults(func=cmd_eval_return_prob)
 
     return top
 
 
+# Exception class -> (exit code, stderr label; None labels with the class
+# name).  The first match wins; an exception matching no row is a bug and
+# propagates with its traceback.
+EXIT_CODES = (
+    (UsageExit, USAGE, "usage error"),
+    (ResourceLimit, LIMIT, "resource limit"),
+    ((UnsupportedLattice, UnsupportedTerm, UnknownOperator, DomainError,
+      DivergentRequest, InsufficientTerms), USAGE, None),
+    (OSError, USAGE, "io error"),
+    (LatticeGFError, FAIL, None),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    started = time.monotonic()
+    doc: dict = {}
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
-    except UsageExit as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return USAGE
-    except ResourceLimit as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return LIMIT
-    except (UnsupportedLattice, UnsupportedTerm, UnknownOperator, DomainError,
-            DivergentRequest, InsufficientTerms) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return USAGE
-    except (FitFailure, NotSymmetricSquare, NotMUM, PrecisionNotMet) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return FAIL
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return USAGE
-    except LatticeGFError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return FAIL
+        args = build_parser().parse_args(argv)
+        doc["command"] = "-".join(filter(None, (args.group, getattr(args, "action", None))))
+        doc["inputs"] = {k: v for k, v in vars(args).items()
+                         if k not in ("func", "group", "action")}
+        doc.update(args.func(args))
+        code = OK if doc["passed"] else FAIL
+    except Exception as exc:
+        for classes, code, label in EXIT_CODES:
+            if isinstance(exc, classes):
+                break
+        else:
+            raise
+        print(f"{label or type(exc).__name__}: {exc}", file=sys.stderr)
+        doc.update(passed=False, error={"type": type(exc).__name__, "message": str(exc)})
+    if code == OK and doc["inputs"].get("format") == "csv":
+        print("n,a_n")
+        for n, v in enumerate(doc["table"]):
+            print(f"{n},{v}")
+        return code
+    doc["timing_ms"] = int((time.monotonic() - started) * 1000)
+    print(json.dumps(doc, indent=2, sort_keys=True))
+    return code
 
 
 if __name__ == "__main__":

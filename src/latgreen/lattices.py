@@ -602,15 +602,17 @@ def coeffs(spec: LatticeSpec, n_max: int) -> CoeffTable:
 
 def relation_triangular_from_honeycomb(n_max: int) -> VerifyReport:
     """Triangular counts from honeycomb ones through the binomial
-    transform with weight (-3)^(n-j), checked exactly."""
-    tri = coeffs(LatticeSpec("triangular", 2), n_max).values
+    transform with weight (-3)^(n-j), checked exactly against the counts
+    derived from the triangular step kernel."""
+    tri = cosine_integer_table("triangular", n_max)
     derived = _triangular_table(n_max)
     return _compare(tri, derived, "triangular from honeycomb")
 
 
 def relation_fcc_from_diamond(n_max: int) -> VerifyReport:
-    """fcc counts from diamond ones, weight (-4)^(n-j)."""
-    fcc = coeffs(LatticeSpec("fcc", 3), n_max).values
+    """fcc counts from diamond ones, weight (-4)^(n-j), against the
+    counts derived from the fcc step kernel."""
+    fcc = cosine_integer_table("fcc3", n_max)
     derived = _fcc3_table(n_max)
     return _compare(fcc, derived, "fcc from diamond")
 

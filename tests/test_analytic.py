@@ -150,6 +150,16 @@ class TestSeriesEval:
             # reported bound must cover the actual error
             assert abs(r.value - ref) < r.error
 
+    @pytest.mark.parametrize("family,z", [("bcc", "0.9"), ("sc", "0.8"), ("fcc", "0.8")])
+    def test_bound_covers_tripled_terms(self, family, z):
+        # the term ratios approach |z|^s from below, so a bound built on the
+        # last ratio undershoots; the sum to 3x the terms measures the error
+        spec = LatticeSpec(family, 3)
+        r = lgf_series_eval(spec, z, 10)
+        deep = lgf_series_eval(spec, z, 20, terms=3 * r.terms_used)
+        with mp.workdps(40):
+            assert r.error >= abs(r.value - deep.value)
+
     def test_result_shape(self):
         r = lgf_series_eval(LatticeSpec("sc", 3), "0.2", 25)
         assert isinstance(r, EvalResult)
@@ -516,6 +526,16 @@ class TestMahlerMeasure:
             v, _ = log_mahler_measure(
                 {(1, 0): 1, (-1, 0): 1, (0, 1): 1, (0, -1): 1, (0, 0): 4}, 20)
             assert abs(v - 4 * mp.catalan / mp.pi) < mp.mpf("1e-10")
+
+    @pytest.mark.parametrize("prec", [12, 20, 30])
+    def test_error_floor_covers_psi_reference(self, prec):
+        # m(1+x+y) = sqrt(3) (psi'(1/3) - psi'(2/3)) / (12 pi); the two panel
+        # counts agree to every working digit, which leaves only the floor
+        v, err = log_mahler_measure({(0, 0): 1, (1, 0): 1, (0, 1): 1}, prec)
+        with mp.workdps(prec + 20):
+            third = mp.mpf(1) / 3
+            ref = mp.sqrt(3) * (mp.psi(1, third) - mp.psi(1, 2 * third)) / (12 * mp.pi)
+            assert 0 < abs(v - ref) <= err
 
     def test_domain(self):
         with pytest.raises(DomainError):

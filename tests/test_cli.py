@@ -1,16 +1,19 @@
 """CLI surface: flag wiring, cache persistence, report shape, exit codes.
 
-Commands run in-process through main(argv); subprocess round trips are
-covered implicitly by the console-script entry point calling the same
-function.
+Commands run in-process through main(argv); TestRunner also runs the
+module entry point in a subprocess.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-from latgreen import cli
+from latgreen import analytic, cli
 from latgreen.cli import FAIL, LIMIT, OK, USAGE, main, read_cache, write_cache
 from latgreen.ode import parse_operator, registry
 
@@ -177,7 +180,7 @@ class TestOde:
         code, doc = run_json(capsys, "ode", "verify", "apery-zeta2",
                              "--terms", "30")
         assert code == OK
-        assert doc["inputs"]["series_source"] == "recurrence"
+        assert doc["series_source"] == "recurrence"
 
     def test_verify_unknown_operator(self, capsys):
         code, _, err = run(capsys, "ode", "verify", "no-such-op")
@@ -348,3 +351,59 @@ class TestUsage:
         code, _, err = run(capsys, "ode", "frobenius")
         assert code == USAGE
         assert "registry" in err or "op-file" in err
+
+
+class TestRunner:
+    @pytest.mark.parametrize("argv,code,error", [
+        (["eval", "lgf", "--family", "sc", "--dim", "3", "--z", "abc"], USAGE, "UsageExit"),
+        (["eval", "maps", "--target", "sc", "--xi", "x"], USAGE, "UsageExit"),
+        (["ode", "verify", "--op-file", "{bad}"], USAGE, "UsageExit"),
+        (["ode", "verify", "sc4", "--series-cache", "{bad}"], USAGE, "UsageExit"),
+        (["eval", "watson", "--lattice", "sc", "--prec", "-5"], USAGE, "UsageExit"),
+        (["eval", "watson", "--lattice", "sc", "--prec", "0"], USAGE, "UsageExit"),
+        (["eval", "bessel", "--check", "sc", "--d", "0", "--z", "0.4"], USAGE, "UsageExit"),
+        (["ode", "frobenius", "bcc4", "--terms", "-1"], USAGE, "UsageExit"),
+        (["eval", "mahler", "--coeffs", '{"1,0": 1, "0,0": "x"}'], USAGE, "UsageExit"),
+        (["eval", "mahler", "--coeffs", '{"1,0": null}'], USAGE, "UsageExit"),
+        (["ode", "wronskian", "sc3"], FAIL, "NotMUM"),
+        (["eval", "lgf", "--family", "square", "--dim", "2", "--z", "0.9999"],
+         LIMIT, "ResourceLimit"),
+        (["coeffs", "--family", "fcc", "--dim", "5"], USAGE, "UnsupportedLattice"),
+    ])
+    def test_error_document(self, capsys, tmp_path, argv, code, error):
+        bad = tmp_path / "bad.txt"
+        bad.write_text("not an operator or a cache\n")
+        got, doc = run_json(capsys, *[a.replace("{bad}", str(bad)) for a in argv])
+        assert got == code
+        assert doc["passed"] is False
+        assert doc["error"]["type"] == error
+        assert doc["error"]["message"]
+
+    def test_inputs_echo_every_flag(self, capsys):
+        _, doc = run_json(capsys, "ode", "fit", "--family", "square", "--dim", "2",
+                          "--order", "2", "--degree", "1", "--terms", "30")
+        assert doc["command"] == "ode-fit"
+        assert doc["inputs"] == {"family": "square", "dim": 2, "series_cache": None,
+                                 "terms": 30, "order": 2, "degree": 1,
+                                 "max_degree": 8, "out": None}
+
+    def test_unlisted_exception_propagates(self, capsys, monkeypatch):
+        def broken(lattice, prec):
+            raise RuntimeError("bug")
+        monkeypatch.setattr(analytic, "watson", broken)
+        with pytest.raises(RuntimeError):
+            main(["eval", "watson", "--lattice", "sc"])
+
+    @pytest.mark.parametrize("argv,code", [
+        (["coeffs", "--family", "bcc", "--dim", "3", "--terms", "3"], OK),
+        (["eval", "watson", "--lattice", "sc", "--prec", "0"], USAGE),
+    ])
+    def test_module_entry_point(self, argv, code):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "latgreen.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == code
+        doc = json.loads(proc.stdout)
+        assert doc["passed"] is (code == OK)

@@ -5,6 +5,7 @@ from itertools import permutations, product
 
 import pytest
 
+from latgreen import lattices
 from latgreen.errors import UnsupportedLattice, UnsupportedTerm
 from latgreen.lattices import (
     CosTerm,
@@ -363,6 +364,19 @@ def test_relation_triangular():
 
 def test_relation_fcc():
     assert relation_fcc_from_diamond(20)
+
+
+@pytest.mark.parametrize("relation,transform", [
+    (relation_triangular_from_honeycomb, "_triangular_table"),
+    (relation_fcc_from_diamond, "_fcc3_table")])
+def test_relation_catches_perturbed_transform(monkeypatch, relation, transform):
+    # the transform also feeds coeffs(), so only a kernel-derived reference
+    # can see it change
+    exact = getattr(lattices, transform)
+    monkeypatch.setattr(lattices, transform,
+                        lambda n: [v + (i == 5) for i, v in enumerate(exact(n))])
+    rep = relation(10)
+    assert not rep.passed and rep.first_mismatch == 5
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
