@@ -1,12 +1,12 @@
 """Exact nullspaces of integer/rational matrices.
 
-Two routes to the same answer: straight Gaussian elimination over
-Fraction (fine up to a few dozen unknowns), and a modular route for the
-big fits: row-reduce modulo several 62-bit primes, CRT the results
-together, lift to rationals by lattice reconstruction, then verify the
-lifted vectors against every equation exactly.  Only the verified
-answer is returned, so an unlucky prime can cost time but not
-correctness.
+Operator fits use the modular route: row-reduce modulo several 62-bit
+primes, CRT the results together, lift to rationals by lattice
+reconstruction, then verify the lifted vectors against every equation
+exactly.  Only the verified answer is returned, so an unlucky prime can
+cost time but not correctness.  Straight Gaussian elimination over
+Fraction is kept as the reference the tests compare the modular route
+against.
 """
 
 from __future__ import annotations
@@ -21,6 +21,8 @@ from .errors import FitFailure
 Q = Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic below 2^64
+_PRIME_BITS = 62
+_MAX_PRIMES = 80
 
 
 def _is_prime(n: int) -> bool:
@@ -46,12 +48,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def prime_stream(bits: int = 62, seed: int = 0):
-    """Distinct primes of the given size, deterministic per seed."""
-    rng = random.Random(seed or 0xC0FFEE)
+def prime_stream():
+    """Distinct 62-bit primes, the same sequence on every call."""
+    rng = random.Random(0xC0FFEE)
     seen = set()
     while True:
-        c = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        c = rng.getrandbits(_PRIME_BITS) | (1 << (_PRIME_BITS - 1)) | 1
         while not _is_prime(c):
             c += 2
         if c not in seen:
@@ -60,7 +62,10 @@ def prime_stream(bits: int = 62, seed: int = 0):
 
 
 def nullspace_fraction(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> list[list[Fraction]]:
-    """Basis of the right nullspace, free-variable-set-to-one convention."""
+    """Basis of the right nullspace, free-variable-set-to-one convention.
+
+    The Fraction reference that tests hold nullspace_modular to.
+    """
     mat = [[Q(x) for x in r] for r in rows]
     pivots: list[int] = []
     r = 0
@@ -155,12 +160,7 @@ def _crt_pair(a1: int, m1: int, a2: int, m2: int) -> int:
     return a1 + m1 * d
 
 
-def nullspace_modular(
-    rows: Sequence[Sequence[int]],
-    ncols: int,
-    max_primes: int = 80,
-    seed: int = 0,
-) -> list[list[Fraction]]:
+def nullspace_modular(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fraction]]:
     """Exact rational nullspace of an integer matrix via CRT lifting.
 
     Primes that lose rank (or disagree on pivot columns) are discarded:
@@ -169,12 +169,12 @@ def nullspace_modular(
     being returned.
     """
     rows = [list(r) for r in rows]
-    stream = prime_stream(seed=seed)
+    stream = prime_stream()
     best_pivots: tuple[int, ...] | None = None
     residues: list[list[int]] = []  # flattened basis entries mod modulus
     modulus = 1
     used = 0
-    while used < max_primes:
+    while used < _MAX_PRIMES:
         p = next(stream)
         used += 1
         basis_p, pivots = _nullspace_mod(rows, ncols, p)

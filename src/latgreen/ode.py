@@ -32,6 +32,7 @@ from .errors import (
     NotSymmetricSquare,
     UnknownOperator,
 )
+# nullspace_fraction is not called here; perfbench/spans.py wraps it by this name
 from .linalg import nullspace_fraction, nullspace_modular
 from .ratfunc import Poly, RatFunc, rational_roots
 from .reports import ConditionReport, VerifyReport
@@ -39,10 +40,8 @@ from .series import LogSeries, PowerSeries
 
 Q = Fraction
 
-# Unknown-count threshold above which fit_ode switches from fraction
-# elimination to the CRT/rational-reconstruction path.  Fraction pivots on
-# ~50+ unknowns with 100-digit series entries are already painful.
-_MODULAR_CUTOFF = 48
+# Rows a fit needs beyond its unknowns before it is attempted.
+_GUARD = 5
 
 
 def _falling(i: int) -> Poly:
@@ -301,10 +300,6 @@ def registry_names() -> list[str]:
     return sorted(_REGISTRY) + ["iwan<d>"]
 
 
-def apply(op: ThetaOperator, f) -> LogSeries:
-    return op.apply(f)
-
-
 def rescale_operator(op: ThetaOperator, lam) -> ThetaOperator:
     """Operator for y(z/lam) when op kills y(z): P_l picks up lam^l."""
     lam = Q(lam)
@@ -399,20 +394,22 @@ def _row_scale_int(row: list[Fraction]) -> list[int]:
     return [int(c * den) for c in row]
 
 
-def fit_ode(series: PowerSeries, r: int, k: int, guard: int = 5,
-            note: str = "") -> ThetaOperator | None:
+def fit_ode(series: PowerSeries, r: int, k: int, note: str = "") -> ThetaOperator | None:
     """Exact annihilator of shape sum_{l<=k} z^l P_l(theta), deg P_l <= r.
 
     Returns None when the only solution is zero.  The linear system runs
-    over every available coefficient, so the guard rows are confirmatory
-    by construction; the result is re-verified against the series before
+    over every available coefficient, at least _GUARD more than the
+    unknowns, so the extra rows are confirmatory by construction.  It is
+    solved by the modular route (mod-p elimination, CRT and rational
+    reconstruction), which checks its lifted basis exactly against every
+    row; the operator is then re-verified against the series before
     being returned.
     """
     unknowns = (r + 1) * (k + 1)
     n_terms = series.order + 1
-    if n_terms < unknowns + guard:
+    if n_terms < unknowns + _GUARD:
         raise InsufficientTerms(
-            f"need {unknowns + guard} coefficients for r={r} k={k}, have {n_terms}")
+            f"need {unknowns + _GUARD} coefficients for r={r} k={k}, have {n_terms}")
     rows = []
     for n in range(n_terms):
         row = [Q(0)] * unknowns
@@ -427,10 +424,7 @@ def fit_ode(series: PowerSeries, r: int, k: int, guard: int = 5,
                 pw *= n - l
         rows.append(row)
     int_rows = [_row_scale_int(row) for row in rows]
-    if unknowns > _MODULAR_CUTOFF:
-        basis = nullspace_modular(int_rows, unknowns)
-    else:
-        basis = nullspace_fraction(int_rows, unknowns)
+    basis = nullspace_modular(int_rows, unknowns)
     if not basis:
         return None
     if len(basis) > 1:
@@ -446,20 +440,13 @@ def fit_ode(series: PowerSeries, r: int, k: int, guard: int = 5,
 
 
 def fit_minimal_degree(series: PowerSeries, r: int, k_max: int,
-                       guard: int = 5, note: str = "") -> ThetaOperator:
-    """First k in 1..k_max admitting a fit; InsufficientTerms only if even
-    the smallest shape lacks terms."""
-    last_err: Exception | None = None
+                       note: str = "") -> ThetaOperator:
+    """First k in 1..k_max admitting a fit.  InsufficientTerms is raised
+    at the first shape the series is too short for."""
     for k in range(1, k_max + 1):
-        try:
-            op = fit_ode(series, r, k, guard=guard, note=note)
-        except InsufficientTerms as e:
-            last_err = e
-            break
+        op = fit_ode(series, r, k, note=note)
         if op is not None:
             return op
-    if last_err is not None and isinstance(last_err, InsufficientTerms):
-        raise last_err
     raise FitFailure(f"no order-{r} operator of degree <= {k_max}")
 
 
@@ -476,15 +463,12 @@ class IndicialReport:
     condition_three: bool
 
 
-def indicial(op: ThetaOperator, point=None) -> IndicialReport:
+def indicial(op: ThetaOperator) -> IndicialReport:
     """Exponents at 0 (roots of P_0) and infinity (roots of P_k negated).
 
-    The `point` argument (0 or "inf") is accepted for call-site clarity;
-    both ends are always computed.  Exponent lists only contain rational
-    roots; the *_complete flags say whether they account for the full
-    degree.
+    Exponent lists only contain rational roots; the *_complete flags say
+    whether they account for the full degree.
     """
-    del point
     z_roots, z_cof = rational_roots(op.P(0))
     r = op.order
     mum = len(z_roots) == r and all(x == 0 for x in z_roots)
@@ -647,10 +631,16 @@ def yukawa(op: ThetaOperator, n_max: int, depth: int | None = None,
     """Mirror map and normalized Yukawa coupling of an order-4 MUM operator.
 
     K(q) = 1 + (q d/dq)^2 [ (A_2/A_0 - (A_1/A_0)^2/2) at z(q) ], and the
-    N_k come out of c_m = sum_{k|m} k^3 N_k by Moebius inversion.
+    N_k come out of c_m = sum_{k|m} k^3 N_k by Moebius inversion, so
+    depth (default n_max) may not exceed n_max.
     """
     if op.order != 4:
         raise NotMUM("Yukawa data needs an order-4 operator")
+    if depth is None:
+        depth = n_max
+    if depth > n_max:
+        raise InsufficientTerms(
+            f"instanton depth {depth} needs {depth} terms, have {n_max}")
     basis = frobenius(op, n_max)
     a0, a1, a2 = basis.log_free_parts()[:3]
     b = a1.div(a0)
@@ -660,9 +650,6 @@ def yukawa(op: ThetaOperator, n_max: int, depth: int | None = None,
     zq = qz.reversion()
     wq = w.compose(zq)
     kq = wq.theta().theta() + 1
-    if depth is None:
-        depth = n_max
-    depth = min(depth, n_max)
     inst = []
     for k in range(1, depth + 1):
         acc = Q(0)

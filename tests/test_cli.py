@@ -369,6 +369,8 @@ class TestRunner:
         (["eval", "lgf", "--family", "square", "--dim", "2", "--z", "0.9999"],
          LIMIT, "ResourceLimit"),
         (["coeffs", "--family", "fcc", "--dim", "5"], USAGE, "UnsupportedLattice"),
+        (["ode", "cy-report", "sc4", "--terms", "1"], USAGE, "InsufficientTerms"),
+        (["ode", "yukawa", "sc4", "--terms", "1"], USAGE, "InsufficientTerms"),
     ])
     def test_error_document(self, capsys, tmp_path, argv, code, error):
         bad = tmp_path / "bad.txt"

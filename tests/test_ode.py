@@ -11,6 +11,7 @@ from math import comb
 import pytest
 
 from latgreen.errors import (
+    FitFailure,
     InsufficientTerms,
     NotMUM,
     NotSymmetricSquare,
@@ -20,7 +21,6 @@ from latgreen.lattices import LatticeSpec, coeffs, structure_sums
 from latgreen.ode import (
     FifthOrderReport,
     ThetaOperator,
-    apply,
     cy_conditions_report,
     fit_minimal_degree,
     fit_ode,
@@ -73,7 +73,7 @@ def raw_series(name, n_max=40):
 
 def test_theta_on_monomial():
     z = PowerSeries.var(6)
-    assert apply(registry("iwan1"), z).is_zero() is False
+    assert registry("iwan1").apply(z).is_zero() is False
     # theta z^n = n z^n, so (theta - n) kills z^n
     for n in range(1, 5):
         op = ThetaOperator([[-n, 1]])
@@ -193,6 +193,13 @@ def test_fit_no_operator_of_shape():
     assert fit_ode(PowerSeries(primes), 2, 2) is None
 
 
+def test_fit_shape_too_generous():
+    # bcc4's operator has degree 1, so degree 2 also admits z times it
+    series = PowerSeries([comb(2 * n, n) ** 4 for n in range(41)])
+    with pytest.raises(FitFailure, match="nullspace dimension 2"):
+        fit_ode(series, 4, 2)
+
+
 # -- indicial data ------------------------------------------------------------
 
 INFINITY_EXPONENTS = {
@@ -297,6 +304,11 @@ def test_yukawa_rescaling_covariance():
         got = yukawa(rescale_operator(registry("sc4"), lam), 20, depth=4)
         for m in range(6):
             assert got.K_coeffs[m] == lam ** m * base.K_coeffs[m]
+
+
+def test_yukawa_depth_beyond_terms():
+    with pytest.raises(InsufficientTerms):
+        yukawa(registry("sc4"), 3, depth=4)
 
 
 def test_fcc4_instantons_direct():
