@@ -346,44 +346,19 @@ def triples4_table(n_max: int) -> list[int]:
     """Even-index return counts for the lattice whose structure function
     is the sum of the four triple cosine products in d=4.
 
-    Index n holds the 2n-step count.  With term exponents n_i the
-    variable-i cosine power is 2N - n_i... reduced to a symmetrized
-    four-fold sum: a_{2N} = (2N)! sum_{r1+..+r4=N} prod_i
-    C(2N-2r_i, N-r_i)/(2r_i)!.
+    Index N holds the 2N-step count, a symmetrized four-fold sum:
+    a_{2N} = (2N)! sum_{r1+..+r4=N} prod_i C(2N-2r_i, N-r_i)/(2r_i)!,
+    that is (2N)! [x^N] f_N(x)^4 with f_N = sum_r C(2N-2r, N-r)/(2r)! x^r.
+    Scaling f_N by (2N)! makes its coefficients integers; one squaring
+    and one convolution at x^N then give ((2N)!)^4 times the sum.
     """
     out = []
     for N in range(n_max + 1):
-        n = 2 * N
-        fact_n = factorial(n)
-        total = 0
-        # r1 <= r2 <= r3 <= r4, weighted by permutation multiplicity
-        for r1 in range(N // 4 + 1):
-            for r2 in range(r1, (N - r1) // 3 + 1):
-                for r3 in range(r2, (N - r1 - r2) // 2 + 1):
-                    r4 = N - r1 - r2 - r3
-                    if r4 < r3:
-                        continue
-                    rs = (r1, r2, r3, r4)
-                    term = fact_n
-                    for r in rs:
-                        term = term * comb(n - 2 * r, N - r) // factorial(2 * r)
-                    total += term * _perm_count(rs)
-        out.append(total)
+        fact_n = factorial(2 * N)
+        f = [comb(2 * N - 2 * r, N - r) * fact_n // factorial(2 * r) for r in range(N + 1)]
+        sq = [sum(f[i] * f[k - i] for i in range(k + 1)) for k in range(N + 1)]
+        out.append(sum(sq[k] * sq[N - k] for k in range(N + 1)) // fact_n ** 3)
     return out
-
-
-def _perm_count(sorted_tuple: tuple[int, ...]) -> int:
-    n = len(sorted_tuple)
-    total = factorial(n)
-    run = 1
-    for i in range(1, n):
-        if sorted_tuple[i] == sorted_tuple[i - 1]:
-            run += 1
-        else:
-            total //= factorial(run)
-            run = 1
-    total //= factorial(run)
-    return total
 
 
 # ---------------------------------------------------------------------------

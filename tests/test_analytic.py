@@ -394,12 +394,27 @@ class TestBesselIdentities:
             assert abs(c.lhs - c.rhs) < mp.mpf("1e-8")
 
     def test_connection_double_integral(self):
-        # the slowest check in the file: a K0 quadrature at every node of
-        # the outer half-circle rule
+        # an inner K0 quadrature at every node of the outer half-circle
+        # rule; K0 itself is evaluated once per distinct inner node
         c = bessel_connection_check(3, "0.4", 10)
         assert bool(c)
         with mp.workdps(30):
             assert abs(c.lhs - c.rhs) < mp.mpf("1e-8")
+
+    def test_connection_evaluates_k0_once_per_node(self, monkeypatch):
+        args = []
+        besselk = mp.besselk
+
+        def counting(n, t):
+            args.append(t)
+            return besselk(n, t)
+
+        monkeypatch.setattr(mp, "besselk", counting)
+        c = bessel_connection_check(3, "0.4", 5)
+        assert bool(c)
+        with mp.workdps(30):
+            assert abs(c.lhs - c.rhs) < mp.mpf("1e-5")
+        assert args and len(args) == len(set(args))
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_abel_forward(self, d):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import comb, factorial
 
 import pytest
 
@@ -216,6 +217,28 @@ def test_triples4_table():
     brute = walk_counts(steps, 8)
     assert triples4_table(4) == [brute[2 * n] for n in range(5)]
     assert triples4_table(1) == [1, 32]
+
+
+def test_triples4_table_matches_cosine_engine():
+    assert triples4_table(20) == cosine_integer_table("triples4", 40)[::2]
+
+
+def test_triples4_table_matches_composition_sum():
+    # a_{2N} = (2N)! sum over compositions r1+..+r4 = N of
+    # prod_i C(2N-2r_i, N-r_i)/(2r_i)!, summed literally
+    def literal(N):
+        total = Q(0)
+        for r1 in range(N + 1):
+            for r2 in range(N + 1 - r1):
+                for r3 in range(N + 1 - r1 - r2):
+                    term = Q(factorial(2 * N))
+                    for r in (r1, r2, r3, N - r1 - r2 - r3):
+                        term *= Q(comb(2 * N - 2 * r, N - r), factorial(2 * r))
+                    total += term
+        assert total.denominator == 1
+        return total.numerator
+
+    assert triples4_table(25) == [literal(N) for N in range(26)]
 
 
 def test_fcc2_is_square():
