@@ -596,7 +596,8 @@ def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
     """The Laplace I0^d integral against its Abel/K0 double-integral twin.
 
     Every inner rule runs on the same nodes t, so K0(t) is evaluated once
-    per distinct node and reused by all outer nodes.
+    per distinct node and reused by all outer nodes.  The two sides must
+    agree to the module's 10**(2 - prec) relative contract.
     """
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
@@ -620,7 +621,7 @@ def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
             return inner
 
         rhs = 2 / mp.pi * mp.quad(outer, [0, mp.pi / 2])
-        return IdentityCheck(lhs, rhs, mp.mpf(10) ** (-(prec - 6)))
+        return IdentityCheck(lhs, rhs, mp.mpf(10) ** (2 - prec) * abs(rhs))
 
 
 def _wallis(n: int) -> Fraction:

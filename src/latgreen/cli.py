@@ -191,22 +191,15 @@ def cmd_coeffs(args) -> dict:
 
     doc = {"passed": True}
     if args.method == "all":
-        tables = {}
-        try:
-            tables["formula"] = _table_by("formula", spec, count)
-        except UnsupportedLattice:
-            pass  # no closed form for this lattice (fcc in d >= 5)
-        for method in ("ct", "cosine"):
-            tables[method] = _table_by(method, spec, count)
-        first, *others = tables
-        table = tables[first]
-        checks = {f"{first}-vs-{m}": tables[m] == table for m in others}
+        routes = ["formula", "ct", "cosine"]
+        table, *others = [_table_by(m, spec, count) for m in routes]
+        checks = {f"formula-vs-{m}": t == table for m, t in zip(routes[1:], others)}
         if cache_problem:
             checks["cache-readable"] = False
         elif cached is not None:
             k = min(len(cached), count)
-            checks[f"cache-vs-{first}"] = cached[:k] == table[:k]
-        doc = {"routes": list(tables), "checks": checks, "passed": all(checks.values())}
+            checks["cache-vs-formula"] = cached[:k] == table[:k]
+        doc = {"routes": routes, "checks": checks, "passed": all(checks.values())}
         if not doc["passed"]:
             doc["detail"] = cache_problem or "route disagreement"
             return doc

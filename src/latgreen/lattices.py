@@ -19,6 +19,11 @@ The structure sums S_n^(d) = sum_m C(n,m)^2 S_m^(d-1), S_n^(1) = 1,
 generate the hyper-diamond counts directly and enter the hypercubic and
 fcc formulas; they are computed once per (d, N) by the recurrence.
 
+Kernels that are elementary symmetric functions of the cosines (sc,
+bcc, fcc and triples4) share one exact route, esym_table, which peels
+one cosine at a time.  coeffs() takes fcc in d >= 4 from it, so every
+family has a formula route in every dimension.
+
 Everything in this module is exact integer arithmetic.
 """
 
@@ -246,100 +251,70 @@ def _fcc3_table(n_max: int) -> list[int]:
     return out
 
 
-def _even_binom(e: int) -> int:
-    """C(e, e/2) for even e, else 0; the full-period cosine moment times 2^e."""
-    if e % 2:
-        return 0
-    return comb(e, e // 2)
+def esym_table(k: int, d: int, n_max: int) -> list[int]:
+    """CT[(2^k e_k(c_1..c_d))^n], n = 0..n_max, with c_i = cos k_i.
+
+    Kernels that are elementary symmetric functions of the cosines:
+    sc = 2 e_1, fcc = 4 e_2, triples4 = 8 e_3 and bcc = 2^d e_d.  The
+    cosines are peeled one at a time.  Over m cosines the state is the
+    exponent vector a of e_1..e_min(m,k), and
+    W(a) = 2^(sum i a_i) <prod_i e_i^a_i> is an integer.  Expand
+    e_i = c e_(i-1)' + e_i', the primes taken over the other m-1
+    cosines.  Taking c from b_i of the a_i factors weighs C(a_i, b_i),
+    and 2^B <c^B> = C(B, B/2) for even B (0 for odd B), so one b is
+    stepped in twos.  e_m vanishes over m-1 cosines, so b_m = a_m when
+    m <= k.  Two cosines are summed directly, and states are memoised
+    per level across n.
+    """
+    if not 1 <= k <= d or d < 2:
+        raise ValueError("need 1 <= k <= d and d >= 2")
+    C = [[comb(n, j) for j in range(n + 1)] for n in range(n_max + 1)]
+    EB = [0 if e % 2 else comb(e, e // 2) for e in range(n_max + 1)]
+    memo: list[dict[tuple[int, ...], int]] = [{} for _ in range(d)]
+
+    def W(m: int, a: tuple[int, ...]) -> int:
+        if m == 2:
+            # <(c1 + c2)^x (c1 c2)^y>, scaled
+            x, y = a[0], a[1] if len(a) > 1 else 0
+            row = C[x]
+            return sum(row[b] * EB[b + y] * EB[x - b + y] for b in range(y & 1, x + 1, 2))
+        forced = len(a) == m
+        j = len(a) - 2 if forced else len(a) - 1   # b_j, the last free one, steps in twos
+        below = memo[m - 1]
+        rows = [C[x] for x in a]
+        ranges: list[Sequence[int]] = [range(x + 1) for x in a]
+        ranges[j] = (0,)
+        if forced:
+            ranges[-1] = (a[-1],)
+        rowj = rows[j]
+        v = 0
+        for bs in product(*ranges):
+            s = sum(bs)
+            # the state below at b_j = 0 is a_i - b_i + b_(i+1); b_j then
+            # moves from its last entry to the one before
+            nxt = [x - b + nb for x, b, nb in zip(a, bs, bs[1:] + (0,))]
+            if forced:
+                nxt.pop()
+            hi = nxt.pop()
+            lo = nxt.pop() if j else 0
+            pre = tuple(nxt)
+            acc = 0
+            for bj in range(s & 1, a[j] + 1, 2):
+                key = pre + (lo + bj, hi - bj) if j else (hi - bj,)
+                u = below.get(key)
+                if u is None:
+                    u = below[key] = W(m - 1, key)
+                acc += rowj[bj] * EB[s + bj] * u
+            v += prod(r[b] for r, b in zip(rows, bs)) * acc
+        return v
+
+    return [W(d, (0,) * (k - 1) + (n,)) for n in range(n_max + 1)]
 
 
 def fcc4_table(n_max: int) -> list[int]:
-    """4d fcc return counts by exact multinomial expansion of the
-    structure function, with the cosine integrals reduced variable by
-    variable.
-
-    lambda = sum_{i<j} c_i c_j; a_n = 4^n <lambda^n>.  Peeling off c_1
-    and then c_2 leaves a two-variable kernel, and every complete term
-    carries the same global power of two, so the whole computation is
-    integer.  Cost is ~n_max^4 big-integer operations.
-    """
-    N = n_max
-    C = [[comb(n, k) for k in range(n + 1)] for n in range(2 * N + 1)]
-    EB = [_even_binom(e) for e in range(2 * N + 1)]
-
-    # G2(A,B) = sum_g C(A,g) EB(g+B) EB(A-g+B): <(c3+c4)^A (c3 c4)^B> * 2^(A+2B)
-    g2: dict[tuple[int, int], int] = {}
-
-    def G2(A: int, B: int) -> int:
-        key = (A, B)
-        v = g2.get(key)
-        if v is None:
-            v = 0
-            rowa = C[A]
-            for g in range(A + 1):
-                t = EB[g + B]
-                if t:
-                    u = EB[A - g + B]
-                    if u:
-                        v += rowa[g] * t * u
-            g2[key] = v
-        return v
-
-    # G3(j,m) = <(c2+c3+c4)^j (c2c3+c2c4+c3c4)^m> * 2^(scaled)
-    g3: dict[tuple[int, int], int] = {}
-
-    def G3(j: int, m: int) -> int:
-        key = (j, m)
-        v = g3.get(key)
-        if v is None:
-            v = 0
-            for alpha in range(j + 1):
-                ca = C[j][alpha]
-                for beta in range(m + 1):
-                    w = EB[alpha + beta]
-                    if w:
-                        v += ca * C[m][beta] * w * G2(j - alpha + beta, m - beta)
-            g3[key] = v
-        return v
-
-    out = []
-    for n in range(N + 1):
-        acc = 0
-        for j in range(0, n + 1, 2):
-            acc += C[n][j] * EB[j] * G3(j, n - j)
-        out.append(acc)
-    return out
-
-
-def fcc4_printed_sum(n: int) -> int:
-    """The five-fold binomial sum printed for the 4d fcc coefficients,
-    evaluated literally (out-of-range binomials are zero).
-
-    Kept for the record: it does NOT reproduce the return counts (it
-    gives 2 at n=1 and 18 at n=2, against 0 and 24), so the production
-    generator above reduces the structure-function integral directly
-    instead.
-    """
-    total = 0
-    for i in range(n + 1):
-        for j in range(n - i + 1):
-            for k in range(n - i - j + 1):
-                for l in range(n - i - j - k + 1):
-                    m = n - i - j - k - l
-                    lm = l + m
-                    t = comb(2 * i, i) * comb(2 * j, j) * comb(2 * k, k)
-                    t *= comb(lm, m) * comb(2 * lm, lm) ** 2
-                    t *= _binom0(n, 2 * lm)
-                    t *= _binom0(n - 2 * lm, n - 2 * i - lm)
-                    t *= _binom0(2 * i - lm, i - k - l)
-                    total += t
-    return total
-
-
-def _binom0(a: int, b: int) -> int:
-    if a < 0 or b < 0 or b > a:
-        return 0
-    return comb(a, b)
+    """4d fcc return counts, esym_table(2, 4, n_max).  coeffs() does not
+    call it; the benchmark's span table (perfbench/spans.py) wraps this name."""
+    return esym_table(2, 4, n_max)
 
 
 def triples4_table(n_max: int) -> list[int]:
@@ -557,10 +532,8 @@ def coeffs(spec: LatticeSpec, n_max: int) -> CoeffTable:
             vals = [0 if n % 2 else _square(n // 2) for n in range(n_max + 1)]
         elif d == 3:
             vals = _fcc3_table(n_max)
-        elif d == 4:
-            vals = fcc4_table(n_max)
         else:
-            raise UnsupportedLattice("no closed-form fcc generator for d >= 5; use the constant-term route")
+            vals = esym_table(2, d, n_max)
     elif f == "sincos4":
         s = structure_sums(4, n_max)
         vals = [comb(2 * n, n) * s[n] for n in range(n_max + 1)]

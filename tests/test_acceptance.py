@@ -1,21 +1,18 @@
 """End-to-end acceptance suite: one test per shipped claim, one line each.
 
 Run with  python3 -m pytest tests/test_acceptance.py -v -s  to see the
-per-criterion lines as they happen.  Criterion 15 refits the order-8
-operator from ~160 exactly generated coefficients and runs far longer
-than everything else combined; it only runs with LGF_RUN_STRETCH=1
-(scripts/triples_stretch.py does the same thing standalone).
+per-criterion lines as they happen.  All fifteen run by default;
+criterion 15 builds 158 coefficients of the second 4d kernel by two
+exact routes and refits its order-8 operator, about 10 s on 2 cores.
 
 Every tolerance here is the shipped one.  A red line with its detail
 string is the intended failure mode; do not widen the bounds.
 """
 
-import os
 from fractions import Fraction
 from math import comb
 
 import mpmath as mp
-import pytest
 
 from latgreen.analytic import (
     RAMANUJAN_IDS,
@@ -39,11 +36,12 @@ from latgreen.errors import ResourceLimit
 from latgreen.lattices import (
     LatticeSpec,
     coeffs,
-    cosine_integer_table,
+    esym_table,
     relation_fcc_from_diamond,
     relation_sc_from_hyperdiamond,
     relation_triangular_from_honeycomb,
     structure_sums,
+    triples4_table,
 )
 from latgreen.ode import (
     fit_minimal_degree,
@@ -96,11 +94,11 @@ def test_criterion_01():
         if ct_series(kernel(fam, d), 20) != list(coeffs(spec, 20).values):
             bad.append(f"{fam} d={d}")
     fcc5 = ct_series(kernel("fcc", 5), 10)
-    if len(fcc5) != 11 or fcc5[2] != 40:
+    if fcc5 != list(coeffs(LatticeSpec("fcc", 5), 10).values) or fcc5[2] != 40:
         bad.append(f"fcc d=5 head {fcc5[:3]}")
     assert _report(1, not bad,
                    "formula == constant-term, 14 tables, n <= 20; "
-                   "fcc d=5 by CT alone, a_2 = 40"
+                   "fcc d=5 n <= 10, a_2 = 40"
                    + (f"; mismatches: {bad}" if bad else "")), bad
 
 
@@ -465,19 +463,18 @@ def test_criterion_14(tmp_path, capsys):
                    + (f"; failing: {bad}" if bad else "")), bad
 
 
-# 15. order-8 refit of the second 4d kernel (stretch: the coefficient run
-#     plus the 153-unknown exact fit dwarf the rest of this file)
+# 15. order-8 refit of the second 4d kernel from 158 coefficients, each
+#     built by two independent exact routes
 
-@pytest.mark.stretch
-@pytest.mark.skipif(os.environ.get("LGF_RUN_STRETCH") != "1",
-                    reason="set LGF_RUN_STRETCH=1; the coefficient "
-                           "generation alone runs 15-20 min")
 def test_criterion_15():
     bad = []
-    raw = cosine_integer_table("triples4", 314)
+    table = triples4_table(157)
+    raw = esym_table(3, 4, 314)
+    if raw[::2] != table:
+        bad.append("triples4_table disagrees with esym_table")
     if any(raw[1::2]):
         bad.append("odd step counts not all zero")
-    series = PowerSeries(raw[::2])
+    series = PowerSeries(table)
     op = fit_ode(series, 8, 16)
     if op is None:
         bad.append("no r8k16 annihilator found")
@@ -491,7 +488,8 @@ def test_criterion_15():
         if ind.mum or op.is_mum():
             bad.append("operator unexpectedly MUM")
     assert _report(15, not bad,
-                   "158 even-index coefficients generated exactly; order-8 "
+                   "158 even-index coefficients, triples4_table == e_3 "
+                   "peeling over 314 steps; order-8 "
                    "degree-16 annihilator recovered; exponents at 0 are "
                    "{0 x4, 1/3, 2/3, 1/2 x2}; not MUM"
                    + (f"; failing: {bad}" if bad else "")), bad

@@ -416,6 +416,13 @@ class TestBesselIdentities:
             assert abs(c.lhs - c.rhs) < mp.mpf("1e-5")
         assert args and len(args) == len(set(args))
 
+    @pytest.mark.parametrize("prec", [5, 6])
+    def test_connection_bound_is_relative(self, prec):
+        # 10^(2-prec) |rhs|, not 10^-(prec-6), which is 10 at prec 5
+        c = bessel_connection_check(3, "0.1", prec)
+        assert bool(c)
+        assert c.error < abs(c.rhs) / 100
+
     @pytest.mark.parametrize("d", [3, 4])
     def test_abel_forward(self, d):
         reports = abel_forward_check(d, "0.3", 16)

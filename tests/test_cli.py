@@ -67,12 +67,12 @@ class TestCoeffs:
         assert doc["routes"] == ["formula", "ct", "cosine"]
         assert doc["checks"] == {"formula-vs-ct": True, "formula-vs-cosine": True}
 
-    def test_method_all_fcc5_without_formula(self, capsys):
+    def test_method_all_fcc5(self, capsys):
         code, doc = run_json(capsys, "coeffs", "--family", "fcc", "--dim", "5",
                              "--terms", "5", "--method", "all")
         assert code == OK
-        assert doc["routes"] == ["ct", "cosine"]
-        assert doc["checks"] == {"ct-vs-cosine": True}
+        assert doc["routes"] == ["formula", "ct", "cosine"]
+        assert doc["checks"] == {"formula-vs-ct": True, "formula-vs-cosine": True}
         assert doc["table"][2] == "40"
 
     @pytest.mark.parametrize("family,dim", [("honeycomb", 2), ("triangular", 2),
@@ -91,9 +91,12 @@ class TestCoeffs:
         assert stable(d1) == stable(d2)
 
     def test_fcc5_formula_gap(self, capsys):
-        code, _, err = run(capsys, "coeffs", "--family", "fcc", "--dim", "5")
-        assert code == USAGE
-        assert "UnsupportedLattice" in err
+        # the formula route covers fcc in every dimension
+        argv = ["coeffs", "--family", "fcc", "--dim", "5", "--terms", "8"]
+        code, doc = run_json(capsys, *argv)
+        assert code == OK
+        _, want = run_json(capsys, *argv, "--method", "ct")
+        assert doc["table"] == want["table"]
 
     def test_fcc5_ct_route(self, capsys):
         code, doc = run_json(capsys, "coeffs", "--family", "fcc", "--dim", "5",
@@ -368,7 +371,7 @@ class TestRunner:
         (["ode", "wronskian", "sc3"], FAIL, "NotMUM"),
         (["eval", "lgf", "--family", "square", "--dim", "2", "--z", "0.9999"],
          LIMIT, "ResourceLimit"),
-        (["coeffs", "--family", "fcc", "--dim", "5"], USAGE, "UnsupportedLattice"),
+        (["coeffs", "--family", "honeycomb", "--dim", "3"], USAGE, "UnsupportedLattice"),
         (["ode", "cy-report", "sc4", "--terms", "1"], USAGE, "InsufficientTerms"),
         (["ode", "yukawa", "sc4", "--terms", "1"], USAGE, "InsufficientTerms"),
     ])

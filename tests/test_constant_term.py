@@ -253,11 +253,10 @@ def test_registry_kernels_fast_to_build():
 
 @pytest.mark.parametrize("family,d", CT_CASES + [("fcc", 5), ("fcc", 6)])
 def test_routes_agree(family, d):
-    """Formula (where it exists), CT and cosine give the same table."""
+    """Formula, CT and cosine give the same table."""
     spec = LatticeSpec(family, d)
     n = 6 if d <= 3 else 4
     p = spec.powers_per_index
     ct = ct_series(kernel(family, d), n)
     assert cosine_integer_table(spec.name, p * n)[::p] == ct
-    if family != "fcc" or d <= 4:
-        assert list(coeffs(spec, n).values) == ct
+    assert list(coeffs(spec, n).values) == ct

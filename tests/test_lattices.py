@@ -1,12 +1,13 @@
 """Coefficient generators against brute-force walk counts and frozen values."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial
 
 import pytest
 
 from latgreen import lattices
+from latgreen.constant_term import ct_series, kernel
 from latgreen.errors import UnsupportedLattice, UnsupportedTerm
 from latgreen.lattices import (
     CosTerm,
@@ -17,7 +18,7 @@ from latgreen.lattices import (
     cosine_kernel_coeffs,
     cosine_structure,
     diamond3_binomial_sum,
-    fcc4_printed_sum,
+    esym_table,
     fcc4_table,
     honeycomb_binomial_sum,
     hypergeometric_forms_check,
@@ -31,6 +32,8 @@ from latgreen.lattices import (
     structure_sums,
     triples4_table,
 )
+
+from test_acceptance import CT_CASES
 
 Q = Fraction
 
@@ -174,16 +177,9 @@ def test_fcc4_table_brute_force():
     steps = perms_signed((1, 1, 0, 0))
     assert len(steps) == 24
     brute = walk_counts(steps, 6)
+    assert list(coeffs(LatticeSpec("fcc", 4), 6).values) == brute
     assert fcc4_table(6) == brute
     assert brute[:4] == [1, 0, 24, 192]
-
-
-def test_fcc4_printed_sum_does_not_count_returns():
-    # the literal five-fold sum disagrees with the walk counts from n=1 on,
-    # which is why coeffs() uses the structure-function reduction instead
-    assert fcc4_printed_sum(0) == 1
-    assert fcc4_printed_sum(1) == 2  # true count is 0
-    assert fcc4_printed_sum(2) == 18  # true count is 24
 
 
 def test_diamond4_table():
@@ -248,9 +244,8 @@ def test_fcc2_is_square():
     assert all(t[2 * n + 1] == 0 for n in range(4))
 
 
-def test_fcc5_unsupported():
-    with pytest.raises(UnsupportedLattice):
-        coeffs(LatticeSpec("fcc", 5), 4)
+def test_fcc5_formula_matches_ct():
+    assert list(coeffs(LatticeSpec("fcc", 5), 10).values) == ct_series(kernel("fcc", 5), 10)
 
 
 def test_coordination_numbers():
@@ -363,6 +358,41 @@ def test_cosine_structure_rejects_bad_names_and_kernels():
         cosine_structure("kagome2")
     with pytest.raises(UnsupportedTerm):
         _cosine_expand({(1, 0): 1, (0, 1): 1})  # x + y is not real on the torus
+
+
+# -- the e_k peeling engine -------------------------------------------------
+
+
+def _esym_k(family, d):
+    """k with K = 2^k e_k(cos k_1..cos k_d) for the family."""
+    return {"sc": 1, "fcc": 2, "triples4": 3, "bcc": d}[family]
+
+
+@pytest.mark.parametrize("family,d,n", [(f, d, 12) for f, d in CT_CASES if f in ("sc", "bcc", "fcc")]
+                         + [("fcc", 5, 22), ("fcc", 6, 12), ("triples4", 4, 8)])
+def test_esym_table_matches_ct(family, d, n):
+    p = LatticeSpec(family, d).powers_per_index
+    assert esym_table(_esym_k(family, d), d, p * n)[::p] == ct_series(kernel(family, d), n)
+
+
+def test_esym_table_rejects_bad_orders():
+    for k, d in [(0, 3), (4, 3), (1, 1)]:
+        with pytest.raises(ValueError):
+            esym_table(k, d, 4)
+
+
+@pytest.mark.parametrize("name", [f"sc{d}" for d in range(2, 6)] + [f"bcc{d}" for d in range(2, 6)]
+                         + [f"fcc{d}" for d in range(2, 7)] + ["triples4"])
+def test_esym_families_are_elementary_symmetric(name):
+    # esym_table's premise, read from the FAMILIES kernel: K(e^{ik}) is
+    # 2^k times the sum of the C(d,k) products of k distinct cosines
+    spec = parse_lattice(name)
+    k = _esym_k(spec.family, spec.dim)
+    terms, scale = cosine_structure(name)
+    assert scale == 2 ** k
+    assert all(t.coef == 1 and not any(t.sin_exps) for t in terms)
+    subsets = [tuple(int(i in s) for i in range(spec.dim)) for s in combinations(range(spec.dim), k)]
+    assert sorted(t.cos_exps for t in terms) == sorted(subsets)
 
 
 def test_parse_lattice():
