@@ -163,6 +163,9 @@ def write_cache(path: str, family: str, dim: int, values: list[int]) -> None:
 
 # -- coeffs -------------------------------------------------------------------
 
+ROUTES = ("formula", "ct", "cosine")
+
+
 def _table_by(method: str, spec: LatticeSpec, count: int) -> list[int]:
     if method == "formula":
         return list(coeffs(spec, count - 1).values)
@@ -191,15 +194,14 @@ def cmd_coeffs(args) -> dict:
 
     doc = {"passed": True}
     if args.method == "all":
-        routes = ["formula", "ct", "cosine"]
-        table, *others = [_table_by(m, spec, count) for m in routes]
-        checks = {f"formula-vs-{m}": t == table for m, t in zip(routes[1:], others)}
+        table, *others = [_table_by(m, spec, count) for m in ROUTES]
+        checks = {f"formula-vs-{m}": t == table for m, t in zip(ROUTES[1:], others)}
         if cache_problem:
             checks["cache-readable"] = False
         elif cached is not None:
             k = min(len(cached), count)
             checks["cache-vs-formula"] = cached[:k] == table[:k]
-        doc = {"routes": routes, "checks": checks, "passed": all(checks.values())}
+        doc = {"routes": list(ROUTES), "checks": checks, "passed": all(checks.values())}
         if not doc["passed"]:
             doc["detail"] = cache_problem or "route disagreement"
             return doc
@@ -391,8 +393,7 @@ def build_parser() -> _Parser:
     pc.add_argument("--family", required=True)
     pc.add_argument("--dim", type=int, required=True)
     pc.add_argument("--terms", type=positive, default=10)
-    pc.add_argument("--method", choices=["formula", "ct", "cosine", "all"],
-                    default="formula")
+    pc.add_argument("--method", choices=[*ROUTES, "all"], default="formula")
     pc.add_argument("--format", choices=["json", "csv"], default="json")
     pc.add_argument("--cache-dir")
     pc.set_defaults(func=cmd_coeffs)
