@@ -576,7 +576,7 @@ def bessel_sc_check(d: int, z, prec: int = 25) -> IdentityCheck:
         lhs, _ = quadrature(lambda t: mp.e ** (-t) * mp.besseli(0, z * t / d) ** d,
                             [0, mp.inf], prec)
         rhs = _series_value(LatticeSpec("sc", d), z, prec, terms=200)
-        return IdentityCheck(lhs, rhs, mp.mpf(10) ** (-(prec - 5)))
+        return IdentityCheck(lhs, rhs, mp.mpf(10) ** (2 - prec) * abs(rhs))
 
 
 def bessel_diamond_check(d: int, z, prec: int = 25) -> IdentityCheck:
@@ -589,7 +589,7 @@ def bessel_diamond_check(d: int, z, prec: int = 25) -> IdentityCheck:
             lambda t: t * mp.besseli(0, z * t / (d + 1)) ** (d + 1) * mp.besselk(0, t),
             [0, mp.inf], prec)
         rhs = _series_value(LatticeSpec("diamond", d), z, prec, terms=200)
-        return IdentityCheck(lhs, rhs, mp.mpf(10) ** (-(prec - 5)))
+        return IdentityCheck(lhs, rhs, mp.mpf(10) ** (2 - prec) * abs(rhs))
 
 
 def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:

@@ -7,6 +7,12 @@ never pretends to know more than it does: the product of series valid
 to orders N1 and N2 is valid to min(N1, N2), and that is the order of
 the result.
 
+Products put each factor over the least common denominator of its
+coefficients, convolve the integer numerators and build one Fraction
+per output coefficient.  compose is Horner evaluation truncated to the
+orders that reach the result, and reversion is Lagrange inversion whose
+result is checked by composing it back.
+
 A LogSeries represents sum_j f_j(z) log(z)^j / j! with PowerSeries
 parts f_j.  This is the normalization in which a Frobenius basis at a
 MUM point reads y_0 = f_0, y_1 = y_0 log z + g, y_2 = y_0 log^2 z/2 +
@@ -18,6 +24,8 @@ f_{j+1}, which is all the ODE machinery needs.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -35,6 +43,12 @@ def _q(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
         return x
     return Fraction(x)
+
+
+def _numerators(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Integer numerators of cs over their least common denominator."""
+    d = lcm(*(c.denominator for c in cs))
+    return [c.numerator * (d // c.denominator) for c in cs], d
 
 
 class PowerSeries:
@@ -146,16 +160,12 @@ class PowerSeries:
             k = _q(other)
             return PowerSeries([c * k for c in self.coeffs])
         n = min(self.order, other.order)
-        a, b = self.coeffs, other.coeffs
-        out = [Q(0)] * (n + 1)
-        for i in range(min(len(a), n + 1)):
-            ai = a[i]
-            if ai == 0:
-                continue
-            for j in range(min(len(b), n + 1 - i)):
-                if b[j] != 0:
-                    out[i + j] += ai * b[j]
-        return PowerSeries(out)
+        a, da = _numerators(self.coeffs[: n + 1])
+        b, db = _numerators(other.coeffs[: n + 1])
+        rb, d = b[::-1], da * db
+        # rb[n-m:] is b_m, ..., b_0, so each sum is c_m = sum_j a_j b_(m-j)
+        return PowerSeries([Q(sum(map(mul, a[: m + 1], rb[n - m:])), d)
+                            for m in range(n + 1)])
 
     __rmul__ = __mul__
 
@@ -258,36 +268,36 @@ class PowerSeries:
     # -- composition ---------------------------------------------------------
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """a(b(z)) for b(0) = 0, by Horner evaluation in series arithmetic."""
+        """a(b(z)) for b(0) = 0, by Horner evaluation truncated to what
+        reaches the result: the partial sum r_i = a_i + b r_(i+1) is later
+        multiplied by b^i, so only its first n - i + 1 coefficients count."""
         if inner.coeffs[0] != 0:
             raise BadInnerConstant("composition needs inner constant term 0")
         n = min(self.order, inner.order)
-        b = PowerSeries(inner.coeffs[: n + 1])
-        result = PowerSeries.constant(self.coeffs[n], n)
+        b_over_z = PowerSeries(inner.coeffs[1: n + 1])
+        result = PowerSeries([self.coeffs[n]])
         for i in range(n - 1, -1, -1):
-            result = result * b + self.coeffs[i]
+            result = (result * b_over_z).shift(1) + self.coeffs[i]
         return result
 
     def reversion(self) -> "PowerSeries":
         """Compositional inverse b with a(b(q)) = q; needs a_0 = 0, a_1 != 0.
 
-        Newton iteration b <- b - (a(b) - q)/(a'(b)), doubling the valid
-        order each pass.
+        Lagrange inversion: with h(w) = w/a(w), b_k = [w^(k-1)] h(w)^k / k.
+        One division and n - 1 products give every h^k; the result is then
+        checked by composing it back into a.
         """
         if self.coeffs[0] != 0 or self.order < 1 or self.coeffs[1] == 0:
             raise NotReversible("reversion needs a(0)=0 and a'(0) invertible")
         n = self.order
-        b = PowerSeries([0, 1 / self.coeffs[1]], order=n)
-        da = self.derivative()  # valid to n-1, enough: used inside compose at order n
-        order_ok = 1
-        while order_ok < n:
-            ab = self.compose(b)
-            err = ab - PowerSeries.var(n)
-            dab = PowerSeries(da.coeffs, order=n).compose(b)
-            b = b - err.div(dab)
-            order_ok = min(2 * order_ok, n)
-        check = self.compose(b)
-        assert check.agrees_with(PowerSeries.var(n), n), "reversion did not verify"
+        h = PowerSeries.one(n - 1).div(PowerSeries(self.coeffs[1:]))
+        out, hk = [Q(0), h.coeffs[0]], h
+        for k in range(2, n + 1):
+            hk = hk * h
+            out.append(hk.coeffs[k - 1] / k)
+        b = PowerSeries(out)
+        if not self.compose(b).agrees_with(PowerSeries.var(n), n):
+            raise NotReversible("reversion did not verify: a(b(q)) != q")
         return b
 
     # -- conversions ---------------------------------------------------------

@@ -6,6 +6,8 @@ is 15 digits and comparing high-precision results outside a context
 silently truncates the references.
 """
 
+import dataclasses
+
 import mpmath as mp
 import pytest
 
@@ -422,6 +424,16 @@ class TestBesselIdentities:
         c = bessel_connection_check(3, "0.1", prec)
         assert bool(c)
         assert c.error < abs(c.rhs) / 100
+
+    @pytest.mark.parametrize("prec", [3, 5])
+    @pytest.mark.parametrize("kind", ["sc", "diamond"])
+    def test_bessel_bounds_are_relative(self, kind, prec):
+        # 10^(2-prec) |rhs|, not 10^-(prec-5), which is 100 at prec 3 and
+        # 1 at prec 5 against values near 1.03
+        check = {"sc": bessel_sc_check, "diamond": bessel_diamond_check}[kind]
+        c = check(3, "0.4" if kind == "sc" else "0.1", prec)
+        assert bool(c)
+        assert not bool(dataclasses.replace(c, rhs=c.rhs + mp.mpf("0.5")))
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_abel_forward(self, d):

@@ -317,6 +317,20 @@ def test_fcc4_instantons_direct():
     assert yk.s == 1
 
 
+def test_fcc4_instantons_at_thirty_terms():
+    # the size the operators benchmark checks
+    yk = yukawa(registry("fcc4"), 30, depth=6)
+    assert list(yk.instantons) == FCC4_NK
+    assert yk.s == 1
+
+
+def test_diamond4_instantons_k_integral():
+    # k N_k is integral for every k <= 10 (the operators benchmark's check)
+    yk = yukawa(registry("diamond4"), 30, depth=10)
+    assert len(yk.instantons) == 10
+    assert all((k * nk).denominator == 1 for k, nk in enumerate(yk.instantons, 1))
+
+
 def test_fcc4_instantons_via_pullback():
     # the z/(1-18z) pullback has unit derivative at 0, so the canonical
     # q-coordinate and hence the instanton numbers are unchanged

@@ -88,6 +88,14 @@ class TestComposition:
         with pytest.raises(NotReversible):
             PowerSeries([0, 0, 1], order=4).reversion()
 
+    def test_reversion_raises_when_check_fails(self, monkeypatch):
+        # the final a(b(q)) = q check is an explicit raise, kept under -O
+        a = PowerSeries([0, 1, -3, Q(5, 2)], order=8)
+        monkeypatch.setattr(PowerSeries, "compose",
+                            lambda self, inner: PowerSeries.zero(self.order))
+        with pytest.raises(NotReversible, match="did not verify"):
+            a.reversion()
+
     def test_compose_exp_log(self):
         # exp(log(1+z)) = 1+z via compose of exp series with log series
         n = 10
@@ -111,6 +119,90 @@ def unit_series(draw, order=6):
 def any_series(draw, order=6):
     cs = draw(st.lists(small_fracs, min_size=order + 1, max_size=order + 1))
     return PowerSeries(cs)
+
+
+# -- the exact kernels against literal Fraction arithmetic --------------------
+
+def literal_product(a, b):
+    """The textbook double sum, one Fraction multiply-add per pair."""
+    n = min(a.order, b.order)
+    out = [Q(0)] * (n + 1)
+    for i in range(n + 1):
+        for j in range(n + 1 - i):
+            out[i + j] += a.coeffs[i] * b.coeffs[j]
+    return out
+
+
+def literal_compose(a, b):
+    """sum_i a_i b^i with every power b^i kept to the full order."""
+    n = min(a.order, b.order)
+    b = b.coeffs[: n + 1]
+    out, power = [Q(0)] * (n + 1), [Q(1)] + [Q(0)] * n
+    for ai in a.coeffs[: n + 1]:
+        out = [o + ai * p for o, p in zip(out, power)]
+        power = literal_product(PowerSeries(power), PowerSeries(b))
+    return out
+
+
+# zeros, signs, and numerators and denominators up to 10^30, so the two
+# factors rarely share a denominator
+big_fracs = st.one_of(
+    st.just(Q(0)),
+    st.integers(-10 ** 30, 10 ** 30).map(Q),
+    st.builds(Q, st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30)),
+)
+
+
+@st.composite
+def big_series(draw, max_order=8):
+    order = draw(st.integers(0, max_order))
+    return PowerSeries(draw(st.lists(big_fracs, min_size=order + 1, max_size=order + 1)))
+
+
+@st.composite
+def reversible_series(draw, max_order=8):
+    order = draw(st.integers(1, max_order))
+    slope = draw(big_fracs.filter(lambda c: c != 0))
+    rest = draw(st.lists(small_fracs, min_size=order - 1, max_size=order - 1))
+    return PowerSeries([0, slope] + rest)
+
+
+class TestKernelsAgainstLiteral:
+    @settings(max_examples=150, deadline=None)
+    @given(big_series(), big_series())
+    def test_mul_is_the_double_sum(self, a, b):
+        prod = a * b
+        assert prod.order == min(a.order, b.order)
+        assert list(prod.coeffs) == literal_product(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(big_series(), st.one_of(st.integers(-10 ** 30, 10 ** 30), big_fracs))
+    def test_mul_by_scalar(self, a, k):
+        expect = [c * k for c in a.coeffs]
+        assert list((a * k).coeffs) == expect
+        assert list((k * a).coeffs) == expect
+
+    def test_mul_order_zero_and_unequal_orders(self):
+        a = PowerSeries([Q(3, 10 ** 30 + 7)])
+        b = PowerSeries([Q(-5, 10 ** 29 + 3), 1, Q(2, 9)])
+        assert list((a * b).coeffs) == [Q(-15, (10 ** 30 + 7) * (10 ** 29 + 3))]
+        assert (b * a).order == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(big_series(), big_series().map(lambda s: PowerSeries((Q(0),) + s.coeffs)))
+    def test_compose_is_the_sum_of_powers(self, a, b):
+        comp = a.compose(b)
+        assert comp.order == min(a.order, b.order)
+        assert list(comp.coeffs) == literal_compose(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(reversible_series())
+    def test_reversion_both_ways(self, a):
+        b = a.reversion()
+        q = PowerSeries.var(a.order)
+        assert b.order == a.order
+        assert a.compose(b) == q
+        assert b.compose(a) == q
 
 
 class TestProperties:
