@@ -158,6 +158,12 @@ def _bcc_z1_terms(d: int, n_terms: int):
     return out
 
 
+def _series_terms(spec: LatticeSpec, table, z):
+    # the terms a_m (z/q)^(s m) of P(0; z), one per table entry
+    zq, s = z / spec.coordination, spec.steps_per_index
+    return [mp.mpf(a) * zq ** (s * m) for m, a in enumerate(table.values)]
+
+
 def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = None,
                     tail: str = "none") -> EvalResult:
     """Partial sum of P(0; z) = sum a_n (z/q)^n with an error estimate.
@@ -189,9 +195,7 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
                     terms = 40 if rate == mp.inf else int(prec / rate) + 20
             if terms > 6000:
                 raise ResourceLimit(f"{terms} terms requested; cap is 6000")
-            table = coeffs(spec, terms)
-            zq = z / spec.coordination
-            ts = [mp.mpf(table[m]) * zq ** (s * m) for m in range(terms + 1)]
+            ts = _series_terms(spec, coeffs(spec, terms), z)
             n_terms = terms
         value = mp.fsum(ts)
         if at_one:
@@ -277,26 +281,34 @@ _WATSON = ("diamond", "sc", "bcc", "fcc")
 
 
 def watson(lattice3d: str, prec: int = 50):
-    """The 3d P(0;1) constants in Gamma-product form.
+    """The 3d P(0;1) constants as complete elliptic integrals, by the AGM.
 
-    diamond is exactly (4/3) fcc.  The printed forms of these constants
-    circulate with scrambled powers of 2 and pi; the versions here are
-    the ones that reproduce the standard decimal values (asserted to the
-    last digit in the tests).
+    All four are K at singular moduli, and (2/pi) K(m) = 1/agm(1, sqrt(1-m)):
+
+    - sc: (12/pi^2)(18 + 12 sqrt2 - 10 sqrt3 - 7 sqrt6) K(k6)^2 with
+      k6 = (2 - sqrt3)(sqrt3 - sqrt2) (Watson);
+    - bcc: 2/agm(1, sqrt2)^2, which is Gamma(1/4)^4/(4 pi^3) by
+      Gamma(1/4)^2 = (2 pi)^(3/2)/agm(1, sqrt2);
+    - fcc: 3 sqrt3 K(k3)^2/pi^2 with k3^2 = (2 - sqrt3)/4, which is
+      9 Gamma(1/3)^6/(2^(14/3) pi^4) by
+      K(k3) = 3^(1/4) Gamma(1/3)^3/(2^(7/3) pi);
+    - diamond: exactly (4/3) fcc.
+
+    No Gamma value is computed, so high precision costs only the AGM.
+    The tests pin these against the Gamma-product forms.
     """
     if lattice3d not in _WATSON:
         raise UnsupportedLattice(f"no Watson constant for {lattice3d!r}")
     with mp.workdps(_dps(prec)):
-        pi = mp.pi
+        r2, r3 = mp.sqrt(2), mp.sqrt(3)
         if lattice3d == "sc":
-            g1, g11 = mp.gamma(mp.mpf(1) / 24), mp.gamma(mp.mpf(11) / 24)
-            return (mp.sqrt(3) - 1) / (32 * pi ** 3) * (g1 * g11) ** 2
+            k6 = (2 - r3) * (r3 - r2)
+            c = 18 + 12 * r2 - 10 * r3 - 7 * r2 * r3
+            return 3 * c * _K2(k6 ** 2, prec) ** 2
         if lattice3d == "bcc":
-            return mp.gamma(mp.mpf(1) / 4) ** 4 / (4 * pi ** 3)
-        g3 = mp.gamma(mp.mpf(1) / 3)
-        if lattice3d == "diamond":
-            return 3 * g3 ** 6 / (2 ** (mp.mpf(8) / 3) * pi ** 4)
-        return 9 * g3 ** 6 / (2 ** (mp.mpf(14) / 3) * pi ** 4)
+            return 2 / agm(1, r2) ** 2
+        fcc = 3 * r3 / 4 * _K2((2 - r3) / 4, prec) ** 2
+        return fcc * 4 / 3 if lattice3d == "diamond" else fcc
 
 
 # -- closed forms -------------------------------------------------------------
@@ -373,14 +385,12 @@ def _resolve(form_id: str, prec: int = 30) -> str:
     fn, spec = _AMBIGUOUS_EVAL[form_id]
     winners = []
     with mp.workdps(_dps(prec)):
+        table = coeffs(spec, 260)
+        refs = [(z, mp.fsum(_series_terms(spec, table, z)))
+                for z in (mp.mpf("0.1"), mp.mpf("0.2"))]
         for convention in ("modulus", "parameter"):
-            ok = True
-            for z in (mp.mpf("0.1"), mp.mpf("0.2")):
-                ref = _series_value(spec, z, prec, terms=260)
-                if abs(fn(z, prec, convention) - ref) > mp.mpf("1e-10"):
-                    ok = False
-                    break
-            if ok:
+            if all(abs(fn(z, prec, convention) - ref) <= mp.mpf("1e-10")
+                   for z, ref in refs):
                 winners.append(convention)
     if len(winners) != 1:
         raise PrecisionNotMet(
@@ -513,19 +523,19 @@ def fourd_sc_double_elliptic(z, prec: int = 30):
     diamond moduli.  The prefactor and integrand arguments follow from
     the Abel relation between the 4d cubic and 3d diamond walks; the
     z = 0 limit (K(1/2... ) -> pi/2 squared times pi/2) gives exactly 1.
+    The quadrature runs in t = sin(phi), which removes the endpoint
+    singularity: (8/pi^3) int_0^(pi/2) K(k+(z sin phi)) K(k-(z sin phi)) dphi.
     """
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
         if not 0 <= z < 1:
             raise DomainError("validated domain is 0 <= z < 1")
 
-        def integrand(t):
-            w = t * z
-            kp = _diamond_k2(w, +1)
-            km = _diamond_k2(w, -1)
-            return (mp.ellipk(kp) * mp.ellipk(km)) / mp.sqrt(1 - t ** 2)
+        def integrand(phi):
+            w = z * mp.sin(phi)
+            return mp.ellipk(_diamond_k2(w, +1)) * mp.ellipk(_diamond_k2(w, -1))
 
-        return 8 / mp.pi ** 3 * mp.quad(integrand, [0, 1])
+        return 8 / mp.pi ** 3 * mp.quad(integrand, [0, mp.pi / 2])
 
 
 # -- Bessel integrals ---------------------------------------------------------

@@ -7,10 +7,12 @@ silently truncates the references.
 """
 
 import dataclasses
+import functools
 
 import mpmath as mp
 import pytest
 
+from latgreen import analytic
 from latgreen.analytic import (
     CLOSED_FORM_IDS,
     RAMANUJAN_IDS,
@@ -54,10 +56,30 @@ WATSON_PRINTED = {"sc": "1.516386", "bcc": "1.3932039",
 BCC4_AT_ONE = "1.1186363871641870683496192575256409167948575515294"
 
 
+def watson_gamma(lattice, dps):
+    """The Watson constants in Gamma-product form, an oracle independent
+    of the AGM forms in the package: Glasser-Zucker for sc,
+    Gamma(1/4)^4/(4 pi^3) for bcc and Gamma(1/3)^6 for fcc and diamond."""
+    with mp.workdps(dps):
+        g, pi = mp.gamma, mp.pi
+        if lattice == "sc":
+            return (mp.sqrt(3) - 1) / (32 * pi ** 3) * (g(mp.mpf(1) / 24) * g(mp.mpf(11) / 24)) ** 2
+        if lattice == "bcc":
+            return g(mp.mpf(1) / 4) ** 4 / (4 * pi ** 3)
+        if lattice == "diamond":
+            return 3 * g(mp.mpf(1) / 3) ** 6 / (2 ** (mp.mpf(8) / 3) * pi ** 4)
+        return 9 * g(mp.mpf(1) / 3) ** 6 / (2 ** (mp.mpf(14) / 3) * pi ** 4)
+
+
+@functools.lru_cache(maxsize=None)
+def _table(spec, terms):
+    return coeffs(spec, terms)
+
+
 def series_at(spec, z, terms=260, dps=60):
     # direct Horner sum of the stored table, complex z allowed
     with mp.workdps(dps):
-        table = coeffs(spec, terms)
+        table = _table(spec, terms)
         x = (mp.mpmathify(z) / spec.coordination) ** spec.steps_per_index
         acc = mp.mpmathify(0)
         for m in range(terms, -1, -1):
@@ -260,6 +282,25 @@ class TestWatson:
         with pytest.raises(UnsupportedLattice):
             watson("hcp", 30)
 
+    @pytest.mark.parametrize("lat", sorted(WATSON_PRINTED))
+    def test_against_gamma_products(self, lat):
+        with mp.workdps(210):
+            ref = watson_gamma(lat, 210)
+            assert abs(watson(lat, 200) - ref) <= mp.mpf(10) ** -198 * ref
+
+    def test_no_gamma_set_up(self, monkeypatch):
+        # mpmath's first Gamma at a new precision builds its Taylor table,
+        # seconds at 1000 digits; the AGM forms must never reach it
+        def no_gamma(*args, **kwargs):
+            raise AssertionError("mp.gamma called")
+
+        monkeypatch.setattr(mp, "gamma", no_gamma)
+        monkeypatch.setattr(mp.mp, "gamma", no_gamma)
+        for lat in sorted(WATSON_PRINTED):
+            with mp.workdps(210):
+                w200 = watson(lat, 200)
+                assert abs(watson(lat, 1000) - w200) <= mp.mpf(10) ** -198 * w200
+
 
 # -- closed forms -------------------------------------------------------------
 
@@ -288,6 +329,21 @@ class TestClosedForms:
             assert r.passed, r.detail
             assert "modulus" in r.detail
 
+    @pytest.mark.parametrize("fid", ["honeycomb", "square", "triangular",
+                                     "diamond-algebraic-2F1"])
+    def test_resolve_builds_one_table(self, fid, monkeypatch):
+        # both conventions are judged against one reference table
+        calls = []
+
+        def counting(spec, n_max):
+            calls.append((spec, n_max))
+            return coeffs(spec, n_max)
+
+        monkeypatch.setattr(analytic, "_CONVENTION", {})
+        monkeypatch.setattr(analytic, "coeffs", counting)
+        assert analytic._resolve(fid) == "modulus"
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("fid", sorted(FORM_TO_SPEC))
     def test_form_against_series(self, fid):
         fam, dim = FORM_TO_SPEC[fid]
@@ -315,10 +371,17 @@ class TestClosedForms:
                 assert abs(v - series_at(spec, mp.mpf("0.3"))) < mp.mpf("1e-12")
 
     def test_fourd_sc_double_elliptic(self):
-        with mp.workdps(40):
-            v = fourd_sc_double_elliptic("0.3", 25)
-            ref = series_at(LatticeSpec("sc", 4), mp.mpf("0.3"))
-            assert abs(v - ref) < mp.mpf("1e-15")
+        # the module contract 10^(2-prec), relative; 450 terms put the
+        # series reference within 1e-46 even at z = 0.9
+        bad = []
+        for z in ("0.15", "0.3", "0.6", "0.9"):
+            ref = series_at(LatticeSpec("sc", 4), z, terms=450, dps=80)
+            for prec in (25, 40):
+                with mp.workdps(80):
+                    gap = abs(fourd_sc_double_elliptic(z, prec) - ref)
+                    if not gap <= mp.mpf(10) ** (2 - prec) * abs(ref):
+                        bad.append(f"z={z} prec={prec}: {mp.nstr(gap, 3)}")
+        assert not bad, bad
 
 
 class TestHoneycombMaps:

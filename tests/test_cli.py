@@ -270,6 +270,17 @@ class TestEval:
                     * g(mp.mpf(7) / 24) * g(mp.mpf(11) / 24))
             assert abs(mp.mpf(doc["value"]) - want) < mp.mpf(10) ** -37
 
+    def test_watson_at_a_thousand_digits(self, capsys):
+        code, doc = run_json(capsys, "eval", "watson", "--lattice", "bcc",
+                             "--prec", "1000")
+        assert code == OK
+        with mp.workdps(1000):
+            assert doc["value"] == mp.nstr(analytic.watson("bcc", 1000), 1000)
+        with mp.workdps(210):
+            gamma_form = mp.gamma(mp.mpf(1) / 4) ** 4 / (4 * mp.pi ** 3)
+            # "1." and the next 197 digits
+            assert doc["value"][:199] == mp.nstr(gamma_form, 210)[:199]
+
     def test_lgf_bcc4_at_one(self, capsys):
         code, doc = run_json(capsys, "eval", "lgf", "--family", "bcc",
                              "--dim", "4", "--z", "1", "--tail", "corrected",
