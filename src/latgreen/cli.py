@@ -16,6 +16,11 @@ Cache files: one per lattice, `<dir>/<family>-<dim>.txt`, a header line
 `lgf-cache v1 <family> <dim> <count>` then one decimal integer per line.
 Writes go through a temp file and rename, so a reader never sees a
 half-written table.
+
+A process loads only the layers its command runs: `coeffs` needs the
+lattice, constant-term and series modules imported here; the `ode`
+handlers import `latgreen.ode`, and the `eval` handlers `latgreen.analytic`
+and mpmath, when they are called.
 """
 
 from __future__ import annotations
@@ -24,14 +29,10 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
 from fractions import Fraction
 from math import comb
 
-import mpmath as mp
-
-from . import analytic
 from .constant_term import ct_series, kernel
 from .errors import (
     DivergentRequest,
@@ -45,19 +46,6 @@ from .errors import (
     UnsupportedTerm,
 )
 from .lattices import LatticeSpec, coeffs, cosine_integer_table, parse_lattice
-from .ode import (
-    cy_conditions_report,
-    fit_minimal_degree,
-    fit_ode,
-    frobenius,
-    parse_operator,
-    registry,
-    registry_names,
-    symmetric_square_check,
-    wronskian_cy_check,
-    write_operator,
-    yukawa,
-)
 from .series import PowerSeries
 
 OK, FAIL, LIMIT, USAGE = 0, 2, 3, 4
@@ -75,14 +63,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageExit(message)
 
 
-def _default_prec() -> int:
-    raw = os.environ.get("LGF_PREC", "")
-    try:
-        return max(5, int(raw)) if raw else 30
-    except ValueError:
-        return 30
-
-
 def _at_least(lo: int):
     """argparse type: an integer >= lo."""
     def parse(text: str) -> int:
@@ -94,9 +74,20 @@ def _at_least(lo: int):
     return parse
 
 
+def _default_prec() -> int:
+    """The `--prec` default: LGF_PREC, held to the same rule as the flag."""
+    raw = os.environ.get("LGF_PREC", "")
+    try:
+        return _at_least(1)(raw) if raw else 30
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageExit(f"LGF_PREC must be an integer >= 1, got {raw!r}") from None
+
+
 def _real(text: str) -> str:
     """argparse type: a finite real, kept as text so it converts at the
     command's working precision."""
+    import mpmath as mp
+
     try:
         if mp.isfinite(mp.mpf(text)):
             return text
@@ -107,6 +98,8 @@ def _real(text: str) -> str:
 
 def _fstr(v, prec: int) -> str:
     # an mpf keeps its own precision; anything else converts at prec digits
+    import mpmath as mp
+
     with mp.workdps(prec):
         return mp.nstr(mp.mpmathify(v), prec)
 
@@ -146,6 +139,8 @@ def read_cache(path: str) -> tuple[str, int, list[int]]:
 
 
 def write_cache(path: str, family: str, dim: int, values: list[int]) -> None:
+    import tempfile
+
     d = os.path.dirname(path) or "."
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".lgf-tmp-")
@@ -194,8 +189,10 @@ def cmd_coeffs(args) -> dict:
 
     doc = {"passed": True}
     if args.method == "all":
-        table, *others = [_table_by(m, spec, count) for m in ROUTES]
-        checks = {f"formula-vs-{m}": t == table for m, t in zip(ROUTES[1:], others)}
+        # cosine first: it refuses a runaway size before the other routes run
+        tables = {m: _table_by(m, spec, count) for m in reversed(ROUTES)}
+        table = tables["formula"]
+        checks = {f"formula-vs-{m}": tables[m] == table for m in ROUTES[1:]}
         if cache_problem:
             checks["cache-readable"] = False
         elif cached is not None:
@@ -220,6 +217,8 @@ def cmd_coeffs(args) -> dict:
 # -- ode ----------------------------------------------------------------------
 
 def _load_operator(args):
+    from .ode import parse_operator, registry, registry_names
+
     if args.op_file:
         with open(args.op_file) as fh:
             text = fh.read()
@@ -265,6 +264,8 @@ def cmd_ode_verify(args) -> dict:
 
 
 def cmd_ode_fit(args) -> dict:
+    from .ode import fit_minimal_degree, fit_ode, write_operator
+
     series, source = _series_for(args, None, args.terms)
     if args.degree is not None:
         op = fit_ode(series, args.order, args.degree)
@@ -281,6 +282,8 @@ def cmd_ode_fit(args) -> dict:
 
 
 def cmd_ode_frobenius(args) -> dict:
+    from .ode import frobenius
+
     basis = frobenius(_load_operator(args), args.terms)
     sols = [{"log_degree": y.log_degree,
              "parts": [[_qstr(c) for c in p.coeffs] for p in y.parts]}
@@ -289,6 +292,8 @@ def cmd_ode_frobenius(args) -> dict:
 
 
 def cmd_ode_yukawa(args) -> dict:
+    from .ode import yukawa
+
     yk = yukawa(_load_operator(args), args.terms, depth=args.depth)
     return {"K_coeffs": [_qstr(c) for c in yk.K_coeffs],
             "instantons": [_qstr(v) for v in yk.instantons],
@@ -297,15 +302,21 @@ def cmd_ode_yukawa(args) -> dict:
 
 
 def cmd_ode_cy_report(args) -> dict:
+    from .ode import cy_conditions_report
+
     return _conditions(cy_conditions_report(_load_operator(args), args.terms))
 
 
 def cmd_ode_wronskian(args) -> dict:
+    from .ode import wronskian_cy_check
+
     rep = wronskian_cy_check(_load_operator(args), args.terms)
     return {"passed": rep.passed, "detail": rep.note}
 
 
 def cmd_ode_symsq(args) -> dict:
+    from .ode import symmetric_square_check
+
     op = _load_operator(args)
     try:
         P, Qf, rep = symmetric_square_check(op)
@@ -317,6 +328,8 @@ def cmd_ode_symsq(args) -> dict:
 # -- eval ---------------------------------------------------------------------
 
 def cmd_eval_lgf(args) -> dict:
+    from . import analytic
+
     spec = LatticeSpec(args.family, args.dim)
     tail = "power-law-corrected" if args.tail == "corrected" else "none"
     r = analytic.lgf_series_eval(spec, args.z, args.prec, terms=args.terms, tail=tail)
@@ -325,11 +338,15 @@ def cmd_eval_lgf(args) -> dict:
 
 
 def cmd_eval_watson(args) -> dict:
+    from . import analytic
+
     return {"value": _fstr(analytic.watson(args.lattice, args.prec), args.prec),
             "passed": True}
 
 
 def cmd_eval_ramanujan(args) -> dict:
+    from . import analytic
+
     partial, target, err = analytic.ramanujan_eval(args.id, args.terms, args.prec)
     return {"partial_sum": _fstr(partial, args.prec),
             "target": _fstr(target, args.prec),
@@ -337,6 +354,8 @@ def cmd_eval_ramanujan(args) -> dict:
 
 
 def cmd_eval_bessel(args) -> dict:
+    from . import analytic
+
     if args.check == "abel":
         return _conditions(analytic.abel_forward_check(args.d, args.z, args.prec))
     fn = {"sc": analytic.bessel_sc_check,
@@ -348,6 +367,10 @@ def cmd_eval_bessel(args) -> dict:
 
 
 def cmd_eval_mahler(args) -> dict:
+    import mpmath as mp
+
+    from . import analytic
+
     try:
         raw = json.loads(args.coeffs)
         F = {tuple(int(p) for p in k.split(",")): v for k, v in raw.items()}
@@ -361,12 +384,18 @@ def cmd_eval_mahler(args) -> dict:
 
 
 def cmd_eval_maps(args) -> dict:
+    import mpmath as mp
+
+    from . import analytic
+
     z, v = analytic.honeycomb_map_eval(args.target, args.xi, args.prec)
     return {"z": {"re": _fstr(mp.re(z), args.prec), "im": _fstr(mp.im(z), args.prec)},
             "value": _fstr(v, args.prec), "passed": True}
 
 
 def cmd_eval_return_prob(args) -> dict:
+    from . import analytic
+
     v = analytic.return_probability(LatticeSpec(args.family, args.dim), args.prec)
     return {"value": _fstr(v, args.prec), "passed": True}
 

@@ -35,7 +35,7 @@ from itertools import combinations, product
 from math import comb, factorial, gcd, prod
 from typing import Callable, Mapping, Sequence
 
-from .errors import UnsupportedLattice, UnsupportedTerm
+from .errors import ResourceLimit, UnsupportedLattice, UnsupportedTerm
 from .reports import VerifyReport
 from .series import PowerSeries
 
@@ -339,6 +339,8 @@ def triples4_table(n_max: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # the generic cosine-kernel engine
 
+COSINE_CLASS_BUDGET = 1_000_000  # parity classes enumerated per table
+
 
 @dataclass(frozen=True)
 class CosTerm:
@@ -376,7 +378,9 @@ def cosine_kernel_coeffs(terms: Sequence[CosTerm], n_max: int) -> list[Fraction]
     Multinomial expansion over the terms; each variable separates into
     a one-dimensional moment with the both-even parity rule.  Parts are
     enumerated only inside the parity classes that survive that rule,
-    a 2^k-fold saving for a k-term structure at large n.
+    a 2^k-fold saving for a k-term structure at large n.  The candidate
+    classes number sum_{w <= min(k, n_max)} C(k, w); past
+    COSINE_CLASS_BUDGET the request raises ResourceLimit before any work.
     """
     if not terms:
         raise UnsupportedTerm("empty structure")
@@ -385,6 +389,10 @@ def cosine_kernel_coeffs(terms: Sequence[CosTerm], n_max: int) -> list[Fraction]
         if len(t.cos_exps) != nvars:
             raise UnsupportedTerm("terms disagree on variable count")
     k = len(terms)
+    size = sum(comb(k, w) for w in range(min(k, n_max) + 1))
+    if size > COSINE_CLASS_BUDGET:
+        raise ResourceLimit(f"cosine route: {size} parity classes for {k} terms to "
+                            f"power {n_max} exceed budget {COSINE_CLASS_BUDGET}")
     emax = max(max(t.cos_exps + t.sin_exps, default=0) for t in terms) or 1
     fact = [1] * (emax * n_max + 1)
     for i in range(1, len(fact)):

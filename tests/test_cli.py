@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import mpmath as mp
@@ -15,6 +16,7 @@ import pytest
 
 from latgreen import analytic, cli
 from latgreen.cli import FAIL, LIMIT, OK, USAGE, main, read_cache, write_cache
+from latgreen.lattices import LatticeSpec, coeffs
 from latgreen.ode import parse_operator, registry
 
 
@@ -351,6 +353,22 @@ class TestEval:
         assert doc["value"] == "1.3932039"
         assert doc["inputs"]["prec"] == 8
 
+    def test_prec_env_below_old_floor(self, capsys, monkeypatch):
+        # LGF_PREC follows the --prec rule: any integer >= 1 is taken as given
+        monkeypatch.setenv("LGF_PREC", "3")
+        code, doc = run_json(capsys, "eval", "watson", "--lattice", "bcc")
+        assert code == OK
+        assert doc["inputs"]["prec"] == 3
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-2", "1.5"])
+    def test_prec_env_rejected(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("LGF_PREC", raw)
+        code, doc = run_json(capsys, "eval", "watson", "--lattice", "bcc")
+        assert code == USAGE
+        assert doc["passed"] is False
+        assert doc["error"]["type"] == "UsageExit"
+        assert "LGF_PREC" in doc["error"]["message"]
+
 
 class TestUsage:
     def test_unknown_group(self, capsys):
@@ -385,11 +403,18 @@ class TestRunner:
         (["coeffs", "--family", "honeycomb", "--dim", "3"], USAGE, "UnsupportedLattice"),
         (["ode", "cy-report", "sc4", "--terms", "1"], USAGE, "InsufficientTerms"),
         (["ode", "yukawa", "sc4", "--terms", "1"], USAGE, "InsufficientTerms"),
+        # 5.7M cosine parity classes, about a minute of work if not refused
+        (["coeffs", "--family", "diamond", "--dim", "5", "--method", "all"],
+         LIMIT, "ResourceLimit"),
     ])
     def test_error_document(self, capsys, tmp_path, argv, code, error):
         bad = tmp_path / "bad.txt"
         bad.write_text("not an operator or a cache\n")
+        started = time.monotonic()
         got, doc = run_json(capsys, *[a.replace("{bad}", str(bad)) for a in argv])
+        if code == LIMIT:
+            # a resource limit is refused before the work starts
+            assert time.monotonic() - started < 2
         assert got == code
         assert doc["passed"] is False
         assert doc["error"]["type"] == error
@@ -409,6 +434,26 @@ class TestRunner:
         monkeypatch.setattr(analytic, "watson", broken)
         with pytest.raises(RuntimeError):
             main(["eval", "watson", "--lattice", "sc"])
+
+    @pytest.mark.parametrize("argv,absent", [
+        (["coeffs", "--family", "sc", "--dim", "3", "--terms", "5"],
+         ["mpmath", "latgreen.analytic", "latgreen.ode", "latgreen.linalg"]),
+        (["ode", "verify", "sc4", "--terms", "10", "--series-cache", "{cache}"],
+         ["mpmath", "latgreen.analytic"]),
+    ])
+    def test_command_loads_only_its_layers(self, tmp_path, argv, absent):
+        cache = tmp_path / "sc-4.txt"
+        write_cache(str(cache), "sc", 4, list(coeffs(LatticeSpec("sc", 4), 10).values))
+        argv = [a.replace("{cache}", str(cache)) for a in argv]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        code = ("import json, sys\n"
+                "from latgreen import cli\n"
+                f"code = cli.main({argv!r})\n"
+                f"print(json.dumps([code, [m for m in {absent!r} if m in sys.modules]]),"
+                " file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), timeout=120)
+        assert json.loads(proc.stderr.splitlines()[-1]) == [OK, []]
 
     @pytest.mark.parametrize("argv,code", [
         (["coeffs", "--family", "bcc", "--dim", "3", "--terms", "3"], OK),

@@ -8,7 +8,7 @@ import pytest
 
 from latgreen import lattices
 from latgreen.constant_term import ct_series, kernel
-from latgreen.errors import UnsupportedLattice, UnsupportedTerm
+from latgreen.errors import ResourceLimit, UnsupportedLattice, UnsupportedTerm
 from latgreen.lattices import (
     CosTerm,
     _cosine_expand,
@@ -296,6 +296,15 @@ def test_moment_engine_mixed_parity():
     # <c^2 s^2> = 1/8 per variable
     m = cosine_kernel_coeffs([CosTerm(Q(1), (1,), (1,))], 2)
     assert m[1] == 0 and m[2] == Q(1, 8)
+
+
+def test_cosine_budget_refuses_runaway_requests():
+    # diamond5 has 26 terms, diamond6 37: sum_{w <= n} C(k, w) classes
+    for name, n_max in [("diamond5", 9), ("diamond5", 18), ("diamond6", 8)]:
+        k = len(cosine_structure(name)[0])
+        assert sum(comb(k, w) for w in range(n_max + 1)) > lattices.COSINE_CLASS_BUDGET
+        with pytest.raises(ResourceLimit):
+            cosine_integer_table(name, n_max)
 
 
 @pytest.mark.parametrize(
