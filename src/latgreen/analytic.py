@@ -4,7 +4,14 @@ Everything here returns mpmath floats computed with guard digits: a call
 asking for `prec` decimal digits works internally at prec + 10 and the
 documented contract is a relative error below 10**(2 - prec) unless a
 function says otherwise.  Quadrature-backed results carry an explicit
-error estimate instead.
+error estimate instead.  Every pass/fail gate (the Bessel and Abel
+identities, the Ramanujan general form, the convention resolution) is
+that contract, applied by one helper, _contract_check.
+
+Every hypergeometric-type sum (pFq, and the hyper-bcc P(0;1)) takes its
+terms from one generator, _hyper_terms, with integer term ratios.  The
+half-circle integrals (Abel, Bessel connection, 4d double elliptic) run
+in t = sin(phi), which removes the 1/sqrt(1 - t^2) endpoint weight.
 
 Elliptic-argument conventions are a minefield: the source formulas write
 K(k) in some places and feed k^2-type expressions in others.  Every
@@ -16,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from itertools import count, islice
+from math import comb, prod
 
 import mpmath as mp
 
@@ -39,6 +47,23 @@ _GUARD = 10
 
 def _dps(prec: int) -> int:
     return max(prec, 5) + _GUARD
+
+
+@dataclass(frozen=True)
+class IdentityCheck:
+    lhs: object
+    rhs: object
+    error: object
+    note: str = ""
+
+    def __bool__(self) -> bool:
+        return bool(abs(self.lhs - self.rhs) <= self.error)
+
+
+def _contract_check(lhs, rhs, prec: int) -> IdentityCheck:
+    """lhs against the reference rhs under the module contract: it passes
+    when they agree to 10**(2 - prec) relative to |rhs|."""
+    return IdentityCheck(lhs, rhs, mp.mpf(10) ** (2 - prec) * abs(rhs))
 
 
 # -- elliptic integrals -------------------------------------------------------
@@ -148,14 +173,33 @@ def _power_law_tail(terms, p, n_last):
     return tail3, abs(tail3 - tail2)
 
 
-def _bcc_z1_terms(d: int, n_terms: int):
-    # t_n = (C(2n,n)/4^n)^d without big binomials: ratio ((2n+1)/(2n+2))^d
+def _hyper_terms(upper, lower, x=1):
+    """t_0 = 1, t_1, ... of sum_n prod (u)_n / prod (l)_n x^n / n!.
+
+    upper and lower are Fractions, so the ratio
+    t_(n+1)/t_n = x prod(u + n) / ((n + 1) prod(l + n)) is x times one
+    integer over another: one mpf multiplication and one division per
+    term, and one more multiplication when x != 1.
+    """
+    ups = [(u.numerator, u.denominator) for u in upper]
+    lows = [(l.numerator, l.denominator) for l in lower]
+    num_scale = prod(q for _, q in lows)
+    den_scale = prod(q for _, q in ups)
     t = mp.mpf(1)
-    out = []
-    for n in range(n_terms + 1):
-        out.append(t)
-        t = t * ((2 * n + 1) / mp.mpf(2 * n + 2)) ** d
-    return out
+    for n in count():
+        yield t
+        t = (t * (num_scale * prod(p + n * q for p, q in ups))
+             / (den_scale * (n + 1) * prod(p + n * q for p, q in lows)))
+        if x != 1:
+            t *= x
+
+
+def _terms_at_one(prec: int) -> int:
+    # terms summed before the power-law tail at x = 1
+    return max(1500, 80 * prec)
+
+
+_TERM_CAP = 6000
 
 
 def _series_terms(spec: LatticeSpec, table, z):
@@ -169,11 +213,14 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
     """Partial sum of P(0; z) = sum a_n (z/q)^n with an error estimate.
 
     tail="power-law-corrected" adds the fitted n^(-dim/2) tail, which is
-    what makes z = 1 reachable for the d >= 3 walks; the bcc family gets
-    a term-recurrence fast path there since its terms need no tables.
+    what makes z = 1 reachable for the d >= 3 walks; at z = 1 the bcc
+    terms are those of the pFq sum (1/2, ..., 1/2; 1, ..., 1; 1) and need
+    no tables.  An explicit `terms` above the cap is refused before any work.
     """
     if tail not in ("none", "power-law-corrected"):
         raise ValueError(f"unknown tail mode {tail!r}")
+    if terms is not None and terms > _TERM_CAP:
+        raise ResourceLimit(f"{terms} terms requested; cap is {_TERM_CAP}")
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
         if abs(z) > 1:
@@ -184,8 +231,10 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
         s = spec.steps_per_index
         p_exp = mp.mpf(spec.dim) / 2
         if at_one and spec.family == "bcc":
-            n_terms = terms if terms is not None else max(1500, 80 * prec)
-            ts = _bcc_z1_terms(spec.dim, n_terms)
+            if terms is None:
+                terms = _terms_at_one(prec)
+            d = spec.dim
+            ts = list(islice(_hyper_terms([Q(1, 2)] * d, [Q(1)] * (d - 1)), terms + 1))
         else:
             if terms is None:
                 if at_one:
@@ -193,24 +242,23 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
                 else:
                     rate = -s * mp.log10(abs(z)) if z != 0 else mp.inf
                     terms = 40 if rate == mp.inf else int(prec / rate) + 20
-            if terms > 6000:
-                raise ResourceLimit(f"{terms} terms requested; cap is 6000")
+                if terms > _TERM_CAP:
+                    raise ResourceLimit(f"{terms} terms needed; cap is {_TERM_CAP}")
             ts = _series_terms(spec, coeffs(spec, terms), z)
-            n_terms = terms
         value = mp.fsum(ts)
         if at_one:
-            tail3, spread = _power_law_tail(ts, p_exp, n_terms)
+            tail3, spread = _power_law_tail(ts, p_exp, terms)
             if tail == "power-law-corrected":
-                return EvalResult(value + tail3, spread, n_terms,
+                return EvalResult(value + tail3, spread, terms,
                                   note=f"fitted n^-{p_exp} tail added")
-            return EvalResult(value, abs(tail3) + spread, n_terms,
+            return EvalResult(value, abs(tail3) + spread, terms,
                               note="uncorrected; error bound is the fitted tail")
         # |z| < 1: geometric tail with ratio |z|^s, the limit that the term
         # ratios approach from below, floored at the working roundoff so the
         # bound stays honest when truncation is tiny
         rho = abs(z) ** s
         err = max(abs(ts[-1]) * rho / (1 - rho), mp.mpf(10) ** (-(prec + 8)))
-        return EvalResult(value, err, n_terms)
+        return EvalResult(value, err, terms)
 
 
 def _series_value(spec: LatticeSpec, z, prec: int, terms: int | None = None):
@@ -243,35 +291,17 @@ def pFq_eval(upper, lower, x, prec: int = 30):
                 raise DivergenceError(f"parameter excess {excess} <= 0 at x = 1")
             if x == -1 and excess <= -1:
                 raise DivergenceError(f"parameter excess {excess} <= -1 at x = -1")
-        t = mp.mpf(1)
-        total = mp.mpf(0)
-        target = mp.mpf(10) ** (-(prec + 5))
         if x == 1:
-            p_exp = mp.mpf(1) + sum(lower) - sum(upper)
-            n_terms = max(1500, 80 * prec)
-            ts = []
-            for n in range(n_terms + 1):
-                ts.append(t)
-                num = mp.mpf(1)
-                for u in upper:
-                    num *= (u + n)
-                den = mp.mpf(1)
-                for l in lower:
-                    den *= (l + n)
-                t = t * num / den / (n + 1)
-            tail3, _ = _power_law_tail(ts, p_exp, n_terms)
+            n_terms = _terms_at_one(prec)
+            ts = list(islice(_hyper_terms(upper, lower), n_terms + 1))
+            tail3, _ = _power_law_tail(ts, mp.mpf(1) + excess, n_terms)
             return mp.fsum(ts) + tail3
-        for n in range(10 ** 6):
-            total += t
-            num = mp.mpf(1)
-            for u in upper:
-                num *= (u + n)
-            den = mp.mpf(1)
-            for l in lower:
-                den *= (l + n)
-            t = t * num / den * x / (n + 1)
-            if abs(t) < target * max(abs(total), mp.mpf(1)) and n > 8:
+        target = mp.mpf(10) ** (-(prec + 5))
+        total = mp.mpf(0)
+        for n, t in enumerate(islice(_hyper_terms(upper, lower, x), 10 ** 6)):
+            if n > 9 and abs(t) < target * max(abs(total), mp.mpf(1)):
                 return total + t
+            total += t
         raise PrecisionNotMet("pFq summation did not converge in 10^6 terms")
 
 
@@ -321,9 +351,6 @@ CLOSED_FORM_IDS = (
     "honeycomb-map-diamond", "fourd-sc-double-elliptic",
 )
 
-# forms whose printed elliptic/2F1 argument does not say whether it is
-# k or k^2; resolved against the series and cached
-_AMBIGUOUS = ("honeycomb", "square", "triangular", "diamond-algebraic-2F1")
 _CONVENTION: dict[str, str] = {}
 
 
@@ -371,12 +398,15 @@ def _diamond_alg_value(z, prec, convention):
         return (mp.sqrt(4 - z ** 2) - mp.sqrt(1 - z ** 2)) * f ** 2
 
 
+# forms whose printed elliptic/2F1 argument does not say whether it is
+# k or k^2; resolved against the series and cached in _CONVENTION
 _AMBIGUOUS_EVAL = {
     "honeycomb": (_honeycomb_value, LatticeSpec("honeycomb", 2)),
     "square": (_square_value, LatticeSpec("square", 2)),
     "triangular": (_triangular_value, LatticeSpec("triangular", 2)),
     "diamond-algebraic-2F1": (_diamond_alg_value, LatticeSpec("diamond", 3)),
 }
+_AMBIGUOUS = tuple(_AMBIGUOUS_EVAL)
 
 
 def _resolve(form_id: str, prec: int = 30) -> str:
@@ -389,7 +419,7 @@ def _resolve(form_id: str, prec: int = 30) -> str:
         refs = [(z, mp.fsum(_series_terms(spec, table, z)))
                 for z in (mp.mpf("0.1"), mp.mpf("0.2"))]
         for convention in ("modulus", "parameter"):
-            if all(abs(fn(z, prec, convention) - ref) <= mp.mpf("1e-10")
+            if all(_contract_check(fn(z, prec, convention), ref, prec)
                    for z, ref in refs):
                 winners.append(convention)
     if len(winners) != 1:
@@ -566,15 +596,11 @@ def quadrature(f, interval, prec: int = 30):
         return value, err
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    lhs: object
-    rhs: object
-    error: object
-    note: str = ""
-
-    def __bool__(self) -> bool:
-        return bool(abs(self.lhs - self.rhs) <= self.error)
+def _laplace_sc(d: int, z, prec: int):
+    # int_0^inf e^-t I0(zt/d)^d dt, the d-cubic P(z) as a Laplace integral
+    value, _ = quadrature(lambda t: mp.e ** (-t) * mp.besseli(0, z * t / d) ** d,
+                          [0, mp.inf], prec)
+    return value
 
 
 def bessel_sc_check(d: int, z, prec: int = 25) -> IdentityCheck:
@@ -583,10 +609,8 @@ def bessel_sc_check(d: int, z, prec: int = 25) -> IdentityCheck:
         z = mp.mpf(z)
         if not 0 <= z < 1:
             raise DomainError("integral converges for 0 <= z < 1")
-        lhs, _ = quadrature(lambda t: mp.e ** (-t) * mp.besseli(0, z * t / d) ** d,
-                            [0, mp.inf], prec)
         rhs = _series_value(LatticeSpec("sc", d), z, prec, terms=200)
-        return IdentityCheck(lhs, rhs, mp.mpf(10) ** (2 - prec) * abs(rhs))
+        return _contract_check(_laplace_sc(d, z, prec), rhs, prec)
 
 
 def bessel_diamond_check(d: int, z, prec: int = 25) -> IdentityCheck:
@@ -599,22 +623,19 @@ def bessel_diamond_check(d: int, z, prec: int = 25) -> IdentityCheck:
             lambda t: t * mp.besseli(0, z * t / (d + 1)) ** (d + 1) * mp.besselk(0, t),
             [0, mp.inf], prec)
         rhs = _series_value(LatticeSpec("diamond", d), z, prec, terms=200)
-        return IdentityCheck(lhs, rhs, mp.mpf(10) ** (2 - prec) * abs(rhs))
+        return _contract_check(lhs, rhs, prec)
 
 
 def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
     """The Laplace I0^d integral against its Abel/K0 double-integral twin.
 
     Every inner rule runs on the same nodes t, so K0(t) is evaluated once
-    per distinct node and reused by all outer nodes.  The two sides must
-    agree to the module's 10**(2 - prec) relative contract.
+    per distinct node and reused by all outer nodes.
     """
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
         if not 0 <= z < 1:
             raise DomainError("0 <= z < 1")
-        lhs, _ = quadrature(lambda t: mp.e ** (-t) * mp.besseli(0, z * t / d) ** d,
-                            [0, mp.inf], prec)
         k0 = {}
 
         def besselk0(t):
@@ -631,7 +652,7 @@ def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
             return inner
 
         rhs = 2 / mp.pi * mp.quad(outer, [0, mp.pi / 2])
-        return IdentityCheck(lhs, rhs, mp.mpf(10) ** (2 - prec) * abs(rhs))
+        return _contract_check(_laplace_sc(d, z, prec), rhs, prec)
 
 
 def _wallis(n: int) -> Fraction:
@@ -649,6 +670,8 @@ def abel_forward_check(d: int, z, prec: int = 20):
     part: P_d(z) = (2/pi) int_0^1 Z_d(t^2 z^2/d^2)/sqrt(1-t^2) dt with
     Z_d the structure-sum generating function, taken to 200 terms and
     evaluated by Horner's rule on coefficients converted to mpf once.
+    The integral runs in t = sin(phi), where it is
+    (2/pi) int_0^(pi/2) Z_d(z^2 sin^2(phi)/d^2) dphi with a smooth integrand.
     """
     exact = all(_wallis(n) == Q(comb(2 * n, n), 4 ** n) for n in range(21))
     reports = [ConditionReport("half-circle moments exact through n=20", exact)]
@@ -657,38 +680,26 @@ def abel_forward_check(d: int, z, prec: int = 20):
         if not 0 <= z < 1:
             raise DomainError("0 <= z < 1")
         sums = [mp.mpf(s) for s in reversed(structure_sums(d, 200))]
+        w = z ** 2 / d ** 2
         integral = 2 / mp.pi * mp.quad(
-            lambda t: mp.polyval(sums, t ** 2 * z ** 2 / d ** 2) / mp.sqrt(1 - t ** 2),
-            [0, 1])
+            lambda phi: mp.polyval(sums, w * mp.sin(phi) ** 2), [0, mp.pi / 2])
         series = _series_value(LatticeSpec("sc", d), z, prec, terms=200)
-        diff = abs(integral - series)
+        check = _contract_check(integral, series, prec)
         reports.append(ConditionReport(
-            f"Abel integral matches the d={d} cubic series",
-            diff < mp.mpf(10) ** (-(prec - 5)), detail=f"difference {mp.nstr(diff, 3)}"))
+            f"Abel integral matches the d={d} cubic series", bool(check),
+            detail=f"difference {mp.nstr(abs(integral - series), 3)}"))
     return reports
 
 
 # -- Ramanujan 1/pi series ----------------------------------------------------
 
 
-def _diam_coeff(n):
-    return structure_sums(4, n)
-
-
-def _sc_coeff(n):
-    s3 = structure_sums(3, n)
-    return [comb(2 * m, m) * s3[m] for m in range(n + 1)]
-
-
-def _bcc_coeff(n):
-    return [comb(2 * m, m) ** 3 for m in range(n + 1)]
-
-
 @dataclass(frozen=True)
 class RamanujanSeries:
-    """sum_n (A n + B) x0^n a_n with everything in Q(sqrt(3))."""
+    """sum_n (A n + B) x0^n a_n with everything in Q(sqrt(3)); a_n is the
+    return-count table of lattice."""
 
-    coeff_table: object
+    lattice: LatticeSpec
     a: QSqrt3            # A
     b: QSqrt3            # B
     x0: QSqrt3
@@ -709,25 +720,26 @@ _RAMANUJAN_TARGETS = {
     "16/pi": lambda: 16 / mp.pi,
 }
 
-RAMANUJAN_IDS = ("diam-32", "diam-64", "diam-sqrt3", "sc-484",
-                 "bcc-256", "bcc-4096")
+_DIAMOND3, _SC3, _BCC3 = LatticeSpec("diamond", 3), LatticeSpec("sc", 3), LatticeSpec("bcc", 3)
 
 _RAMANUJAN = {
-    "diam-32": RamanujanSeries(_diam_coeff, QSqrt3(3), QSqrt3(1),
+    "diam-32": RamanujanSeries(_DIAMOND3, QSqrt3(3), QSqrt3(1),
                                QSqrt3(Q(-1, 32)), "2/pi", 0.30),
-    "diam-64": RamanujanSeries(_diam_coeff, QSqrt3(5), QSqrt3(1),
+    "diam-64": RamanujanSeries(_DIAMOND3, QSqrt3(5), QSqrt3(1),
                                QSqrt3(Q(1, 64)), "8*sqrt(3)/(3*pi)", 0.60),
-    "diam-sqrt3": RamanujanSeries(_diam_coeff, QSqrt3(6), QSqrt3(3, -1),
+    "diam-sqrt3": RamanujanSeries(_DIAMOND3, QSqrt3(6), QSqrt3(3, -1),
                                   QSqrt3(Q(-5, 4), Q(3, 4)),
                                   "(9+5*sqrt(3))/pi", 0.105),
-    "sc-484": RamanujanSeries(_sc_coeff, QSqrt3(520), QSqrt3(159, -48),
+    "sc-484": RamanujanSeries(_SC3, QSqrt3(520), QSqrt3(159, -48),
                               QSqrt3(Q(-139, 484), Q(20, 121)),
                               "2*(64+29*sqrt(3))/pi", 1.48),
-    "bcc-256": RamanujanSeries(_bcc_coeff, QSqrt3(6), QSqrt3(1),
+    "bcc-256": RamanujanSeries(_BCC3, QSqrt3(6), QSqrt3(1),
                                QSqrt3(Q(1, 256)), "4/pi", 0.60),
-    "bcc-4096": RamanujanSeries(_bcc_coeff, QSqrt3(42), QSqrt3(5),
+    "bcc-4096": RamanujanSeries(_BCC3, QSqrt3(42), QSqrt3(5),
                                 QSqrt3(Q(1, 4096)), "16/pi", 1.81),
 }
+
+RAMANUJAN_IDS = tuple(_RAMANUJAN)
 
 
 def _surd_to_mpf(x: QSqrt3, prec: int):
@@ -751,7 +763,7 @@ def ramanujan_eval(series_id: str, terms: int, prec: int = 30):
     if terms < 1:
         raise DomainError("terms >= 1")
     s = _RAMANUJAN[series_id]
-    table = s.coeff_table(terms)
+    table = coeffs(s.lattice, terms)
     acc = QSqrt3(0)
     power = QSqrt3(1)
     for n in range(terms):
@@ -783,7 +795,7 @@ def ramanujan_general_form_check(prec: int = 64) -> VerifyReport:
         if got != want:
             return VerifyReport(False, n, note="termwise multiplier mismatch")
     terms = max(80, int(prec / 1.4) + 20)
-    table = _sc_coeff(terms)
+    table = coeffs(_SC3, terms)
     g = QSqrt3(0)
     tg = QSqrt3(0)
     power = QSqrt3(1)
@@ -793,10 +805,10 @@ def ramanujan_general_form_check(prec: int = 64) -> VerifyReport:
         power = power * x0
     combo = alpha * g + beta * tg
     with mp.workdps(_dps(prec)):
-        residual = abs(_surd_to_mpf(combo, prec) - 1 / mp.pi)
-        ok = residual < mp.mpf("1e-20")
-        return VerifyReport(bool(ok), terms,
-                            note=f"residual {mp.nstr(residual, 3)}")
+        value = _surd_to_mpf(combo, prec)
+        check = _contract_check(value, 1 / mp.pi, prec)
+        return VerifyReport(bool(check), terms,
+                            note=f"residual {mp.nstr(abs(value - 1 / mp.pi), 3)}")
 
 
 # -- return probabilities -----------------------------------------------------
@@ -810,8 +822,6 @@ def return_probability(spec: LatticeSpec, prec: int = 25):
     with mp.workdps(_dps(prec)):
         if spec.dim == 3 and spec.family in _WATSON:
             p1 = watson(spec.family, prec)
-        elif spec.family == "bcc":
-            p1 = pFq_eval([Q(1, 2)] * spec.dim, [1] * (spec.dim - 1), 1, prec)
         else:
             p1 = lgf_series_eval(spec, 1, prec, tail="power-law-corrected").value
         return 1 - 1 / p1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .errors import FitFailure
@@ -209,9 +209,7 @@ def nullspace_modular(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fr
 
 def _verify_nullspace(rows: list[list[int]], basis: list[list[Fraction]]) -> bool:
     for v in basis:
-        den = 1
-        for x in v:
-            den = den * x.denominator // gcd(den, x.denominator)
+        den = lcm(*(x.denominator for x in v))
         w = [int(x * den) for x in v]
         for r in rows:
             if sum(a * b for a, b in zip(r, w)) != 0:

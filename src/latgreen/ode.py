@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 from typing import Sequence
 
 from .errors import (
@@ -85,15 +85,9 @@ class ThetaOperator:
             for r in rows:
                 r.pop()
             width -= 1
-        den = 1
-        for r in rows:
-            for c in r:
-                den = den * c.denominator // gcd(den, c.denominator)
+        den = lcm(*(c.denominator for r in rows for c in r))
         ints = [[int(c * den) for c in r] for r in rows]
-        g = 0
-        for r in ints:
-            for c in r:
-                g = gcd(g, c)
+        g = gcd(*(c for r in ints for c in r))
         if g == 0:
             raise ValueError("zero operator")
         first = next(c for r in ints for c in r if c != 0)
@@ -187,14 +181,6 @@ class ThetaOperator:
 # -- registry ----------------------------------------------------------------
 
 
-def _op_bcc4() -> ThetaOperator:
-    th = Poly([0, 1])
-    p0 = th ** 4
-    p1 = Poly([1, 2]) ** 4 * Q(-16)
-    return ThetaOperator([p0.coeffs, p1.coeffs],
-                         note="kills sum C(2n,n)^4 z^n; physical P(0;w)=y(w^2/256)")
-
-
 def _op_sc4() -> ThetaOperator:
     th = Poly([0, 1])
     p0 = th ** 4
@@ -250,7 +236,8 @@ def _op_iwan(d: int) -> ThetaOperator:
     p0 = th ** d
     p1 = Poly([1, 2]) ** d * Q(-(2 ** d))
     return ThetaOperator([p0.coeffs, p1.coeffs],
-                         note=f"kills sum C(2n,n)^{d} z^n (hyper-bcc, d={d})")
+                         note=f"kills sum C(2n,n)^{d} z^n (hyper-bcc, d={d}); "
+                              f"physical P(0;w)=y(w^2/{4 ** d})")
 
 
 def triple_operator(order: int, a, b, c) -> ThetaOperator:
@@ -272,7 +259,7 @@ def triple_operator(order: int, a, b, c) -> ThetaOperator:
 
 
 _REGISTRY = {
-    "bcc4": _op_bcc4,
+    "bcc4": lambda: _op_iwan(4),
     "sc4": _op_sc4,
     "diamond4": _op_diamond4,
     "fcc4": _op_fcc4,
@@ -388,9 +375,7 @@ def parse_operator(text: str, note: str = "") -> ThetaOperator:
 
 
 def _row_scale_int(row: list[Fraction]) -> list[int]:
-    den = 1
-    for c in row:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in row))
     return [int(c * den) for c in row]
 
 
@@ -659,9 +644,7 @@ def yukawa(op: ThetaOperator, n_max: int, depth: int | None = None,
                 if mu:
                     acc += mu * kq[k // d]
         inst.append(acc / k ** 3)
-    s = 1
-    for nk in inst:
-        s = s * nk.denominator // gcd(s, nk.denominator)
+    s = lcm(*(nk.denominator for nk in inst))
     return YukawaData(
         q_coeffs=tuple(qz.coeffs[1:]),
         z_coeffs=tuple(zq.coeffs[1:]),
@@ -728,9 +711,7 @@ def cy_conditions_report(op: ThetaOperator, n_max: int) -> list[ConditionReport]
     depth = max(4, n_max // 4)
     yk = yukawa(op, n_max, depth=depth)
     half = yk.instantons[: max(2, depth // 2)]
-    s_half = 1
-    for nk in half:
-        s_half = s_half * nk.denominator // gcd(s_half, nk.denominator)
+    s_half = lcm(*(nk.denominator for nk in half))
     stable = s_half == yk.s
     out.append(ConditionReport(
         "five: integral instanton numbers", stable,

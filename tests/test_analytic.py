@@ -231,6 +231,12 @@ class TestSeriesEval:
         with pytest.raises(ResourceLimit):
             lgf_series_eval(LatticeSpec("square", 2), "0.9999", 30)
 
+    def test_explicit_terms_capped_at_one(self):
+        # the bcc z = 1 terms need no table, but an explicit count above the
+        # cap is refused like any other
+        with pytest.raises(ResourceLimit):
+            lgf_series_eval(LatticeSpec("bcc", 4), 1, 20, terms=7000)
+
     def test_unknown_tail_mode(self):
         with pytest.raises(ValueError):
             lgf_series_eval(LatticeSpec("sc", 3), "0.2", 20, tail="pade")
@@ -253,6 +259,15 @@ class TestPFQ:
         with mp.workdps(40):
             v = pFq_eval(["1/2"] * 3, [1] * 2, 1, 20)
             assert abs(v - watson("bcc", 30)) < mp.mpf("1e-10")
+
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_at_one_is_the_bcc_series(self, d):
+        # pFq(1/2, ..., 1/2; 1, ..., 1; 1) and the bcc P(0;1) are one sum
+        prec = 20
+        v = pFq_eval(["1/2"] * d, [1] * (d - 1), 1, prec)
+        r = lgf_series_eval(LatticeSpec("bcc", d), 1, prec, tail="power-law-corrected")
+        with mp.workdps(prec + 20):
+            assert abs(v - r.value) <= mp.mpf(10) ** (-(prec + 5))
 
     def test_divergence_guards(self):
         with pytest.raises(DivergenceError):
@@ -505,6 +520,17 @@ class TestBesselIdentities:
         for r in reports:
             assert r.passed, (d, r.name, r.detail)
 
+    @pytest.mark.parametrize("prec", [20, 30])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_abel_gap_within_contract(self, d, prec):
+        # the reported gap meets 10^(2-prec) relative, not 10^(5-prec)
+        reports = abel_forward_check(d, "0.3", prec)
+        assert all(r.passed for r in reports), reports
+        series = lgf_series_eval(LatticeSpec("sc", d), "0.3", prec + 10).value
+        with mp.workdps(prec + 20):
+            gap = mp.mpf(reports[1].detail.split()[-1])
+            assert gap <= mp.mpf(10) ** (2 - prec) * abs(series)
+
 
 # -- Ramanujan 1/pi series ----------------------------------------------------
 
@@ -555,6 +581,15 @@ class TestRamanujan:
         # alpha f(z0) + beta theta f(z0) = 1/pi with exact surd bookkeeping
         rep = ramanujan_general_form_check(64)
         assert rep.passed, rep.note
+
+    @pytest.mark.parametrize("prec", [20, 30, 64])
+    def test_general_form_meets_contract(self, prec):
+        # the residual is within 10^(2-prec)/pi, not a fixed 1e-20
+        rep = ramanujan_general_form_check(prec)
+        assert rep.passed, rep.note
+        with mp.workdps(prec + 20):
+            residual = mp.mpf(rep.note.split()[-1])
+            assert residual <= mp.mpf(10) ** (2 - prec) / mp.pi
 
 
 # -- return probabilities -----------------------------------------------------

@@ -406,6 +406,9 @@ class TestRunner:
         # 5.7M cosine parity classes, about a minute of work if not refused
         (["coeffs", "--family", "diamond", "--dim", "5", "--method", "all"],
          LIMIT, "ResourceLimit"),
+        # the bcc z = 1 terms come without a table, but not without the cap
+        (["eval", "lgf", "--family", "bcc", "--dim", "4", "--z", "1",
+          "--terms", "10000000"], LIMIT, "ResourceLimit"),
     ])
     def test_error_document(self, capsys, tmp_path, argv, code, error):
         bad = tmp_path / "bad.txt"
