@@ -10,8 +10,11 @@ that contract, applied by one helper, _contract_check.
 
 Every hypergeometric-type sum (pFq, and the hyper-bcc P(0;1)) takes its
 terms from one generator, _hyper_terms, with integer term ratios.  The
-half-circle integrals (Abel, Bessel connection, 4d double elliptic) run
-in t = sin(phi), which removes the 1/sqrt(1 - t^2) endpoint weight.
+half-circle integrals (Abel, Bessel connection, 4d double elliptic) are
+all (2/pi) int_0^(pi/2) f(sin phi) dphi with f even and analytic, and
+run by one periodic trapezoid rule, _quarter_period_mean, which
+converges geometrically on such integrands; the [0, inf) Laplace and K0
+integrals stay on mp.quad.
 
 Elliptic-argument conventions are a minefield: the source formulas write
 K(k) in some places and feed k^2-type expressions in others.  Every
@@ -194,12 +197,23 @@ def _hyper_terms(upper, lower, x=1):
             t *= x
 
 
-def _terms_at_one(prec: int) -> int:
-    # terms summed before the power-law tail at x = 1
-    return max(1500, 80 * prec)
-
-
 _TERM_CAP = 6000
+
+# terms x working digits at x = 1, sized so that prec 100 (8000 terms at
+# 110 digits, about 0.05 s) still runs
+_WORK_CAP = 10 ** 6
+
+
+def _terms_at_one(prec: int, terms: int | None = None) -> int:
+    """The terms summed before the power-law tail at x = 1: `terms`, or
+    max(1500, 80 prec) when it is None.  ResourceLimit, before any term
+    is formed, when terms x working digits exceeds _WORK_CAP."""
+    if terms is None:
+        terms = max(1500, 80 * prec)
+    if terms * _dps(prec) > _WORK_CAP:
+        raise ResourceLimit(f"{terms} terms at {_dps(prec)} digits; "
+                            f"cap is {_WORK_CAP} term-digits")
+    return terms
 
 
 def _series_terms(spec: LatticeSpec, table, z):
@@ -215,7 +229,9 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
     tail="power-law-corrected" adds the fitted n^(-dim/2) tail, which is
     what makes z = 1 reachable for the d >= 3 walks; at z = 1 the bcc
     terms are those of the pFq sum (1/2, ..., 1/2; 1, ..., 1; 1) and need
-    no tables.  An explicit `terms` above the cap is refused before any work.
+    no tables.  An explicit `terms` above the cap, or bcc z = 1 terms whose
+    count times the working digits passes _WORK_CAP, is refused before
+    any work.
     """
     if tail not in ("none", "power-law-corrected"):
         raise ValueError(f"unknown tail mode {tail!r}")
@@ -231,8 +247,7 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
         s = spec.steps_per_index
         p_exp = mp.mpf(spec.dim) / 2
         if at_one and spec.family == "bcc":
-            if terms is None:
-                terms = _terms_at_one(prec)
+            terms = _terms_at_one(prec, terms)
             d = spec.dim
             ts = list(islice(_hyper_terms([Q(1, 2)] * d, [Q(1)] * (d - 1)), terms + 1))
         else:
@@ -273,7 +288,8 @@ def pFq_eval(upper, lower, x, prec: int = 30):
 
     At x = 1 the terms decay like n^(sum(upper)-sum(lower)-1) and the
     partial sum is completed with the fitted power-law tail; this is the
-    path that reaches the hyper-bcc d=4 value.
+    path that reaches the hyper-bcc d=4 value.  A prec whose term count
+    there passes _WORK_CAP is refused before any term is formed.
     """
     upper = [Q(u) for u in upper]
     lower = [Q(l) for l in lower]
@@ -553,19 +569,22 @@ def fourd_sc_double_elliptic(z, prec: int = 30):
     diamond moduli.  The prefactor and integrand arguments follow from
     the Abel relation between the 4d cubic and 3d diamond walks; the
     z = 0 limit (K(1/2... ) -> pi/2 squared times pi/2) gives exactly 1.
-    The quadrature runs in t = sin(phi), which removes the endpoint
-    singularity: (8/pi^3) int_0^(pi/2) K(k+(z sin phi)) K(k-(z sin phi)) dphi.
+    In t = sin(phi) it is (4/pi^2) times the quarter-period mean of
+    K(k+(zt)) K(k-(zt)), which _quarter_period_mean takes by the periodic
+    trapezoid rule: k+- depend on zt only through (zt)^2, so the
+    integrand is even in t.
     """
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
         if not 0 <= z < 1:
             raise DomainError("validated domain is 0 <= z < 1")
 
-        def integrand(phi):
-            w = z * mp.sin(phi)
+        def integrand(t):
+            w = z * t
             return mp.ellipk(_diamond_k2(w, +1)) * mp.ellipk(_diamond_k2(w, -1))
 
-        return 8 / mp.pi ** 3 * mp.quad(integrand, [0, mp.pi / 2])
+        mean, _ = _quarter_period_mean(integrand, prec)
+        return 4 / mp.pi ** 2 * mean
 
 
 # -- Bessel integrals ---------------------------------------------------------
@@ -594,6 +613,39 @@ def quadrature(f, interval, prec: int = 30):
         if err > mp.mpf(10) ** (-(prec - 2)):
             raise PrecisionNotMet(f"quadrature error estimate {err}")
         return value, err
+
+
+_MAX_PANELS = 4096
+
+
+def _quarter_period_mean(f, prec: int):
+    """(2/pi) int_0^(pi/2) f(sin phi) dphi for f even and analytic on [-1, 1].
+
+    Returns (value, error_estimate).  f(sin phi) is then even about 0 and
+    pi/2 and analytic in phi, so the trapezoid rule on [0, pi/2] with
+    half-weight endpoints is the periodic trapezoid rule, which converges
+    geometrically.  The panels start at 2 and double, each sum reusing
+    every earlier node, so f is evaluated once per distinct node; it stops
+    when two successive sums agree to 10**-(prec + 2) relative, and their
+    difference, floored at 10**-(prec + 8), is the error estimate.
+    PrecisionNotMet past _MAX_PANELS panels.
+    """
+    with mp.workdps(_dps(prec)):
+        tol = mp.mpf(10) ** (-(prec + 2))
+        panels = 2
+        total = (f(mp.mpf(0)) + f(mp.mpf(1))) / 2 + f(mp.sin(mp.pi / 4))
+        value = total / panels
+        while panels < _MAX_PANELS:
+            # the new nodes are the midpoints (2j + 1) pi / (4 panels)
+            step = mp.pi / (4 * panels)
+            total += mp.fsum(f(mp.sin((2 * j + 1) * step)) for j in range(panels))
+            panels *= 2
+            value, previous = total / panels, value
+            diff = abs(value - previous)
+            if diff <= tol * abs(value):
+                return value, max(diff, mp.mpf(10) ** (-(prec + 8)))
+        raise PrecisionNotMet(
+            f"trapezoid sums still differ by {mp.nstr(diff, 3)} at {panels} panels")
 
 
 def _laplace_sc(d: int, z, prec: int):
@@ -629,8 +681,11 @@ def bessel_diamond_check(d: int, z, prec: int = 25) -> IdentityCheck:
 def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
     """The Laplace I0^d integral against its Abel/K0 double-integral twin.
 
-    Every inner rule runs on the same nodes t, so K0(t) is evaluated once
-    per distinct node and reused by all outer nodes.
+    The outer integral, (2/pi) int_0^(pi/2) in u = sin(phi), is the
+    quarter-period mean of an integrand even in u (I0 is even), taken by
+    the periodic trapezoid rule.  Every inner [0, inf) rule runs on the
+    same nodes t, so K0(t) is evaluated once per distinct node and reused
+    by all outer nodes.
     """
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
@@ -643,15 +698,13 @@ def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
                 k0[t] = mp.besselk(0, t)
             return k0[t]
 
-        # u = sin(phi) soaks up the endpoint weight, keeps the outer rule small
-        def outer(phi):
-            u = mp.sin(phi)
+        def outer(u):
             inner, _ = quadrature(
                 lambda t: t * mp.besseli(0, z * t * u / d) ** d * besselk0(t),
                 [0, mp.inf], prec)
             return inner
 
-        rhs = 2 / mp.pi * mp.quad(outer, [0, mp.pi / 2])
+        rhs, _ = _quarter_period_mean(outer, prec)
         return _contract_check(_laplace_sc(d, z, prec), rhs, prec)
 
 
@@ -670,8 +723,8 @@ def abel_forward_check(d: int, z, prec: int = 20):
     part: P_d(z) = (2/pi) int_0^1 Z_d(t^2 z^2/d^2)/sqrt(1-t^2) dt with
     Z_d the structure-sum generating function, taken to 200 terms and
     evaluated by Horner's rule on coefficients converted to mpf once.
-    The integral runs in t = sin(phi), where it is
-    (2/pi) int_0^(pi/2) Z_d(z^2 sin^2(phi)/d^2) dphi with a smooth integrand.
+    In t = sin(phi) the integral is the quarter-period mean of
+    Z_d(z^2 t^2/d^2), even in t, taken by the periodic trapezoid rule.
     """
     exact = all(_wallis(n) == Q(comb(2 * n, n), 4 ** n) for n in range(21))
     reports = [ConditionReport("half-circle moments exact through n=20", exact)]
@@ -681,8 +734,7 @@ def abel_forward_check(d: int, z, prec: int = 20):
             raise DomainError("0 <= z < 1")
         sums = [mp.mpf(s) for s in reversed(structure_sums(d, 200))]
         w = z ** 2 / d ** 2
-        integral = 2 / mp.pi * mp.quad(
-            lambda phi: mp.polyval(sums, w * mp.sin(phi) ** 2), [0, mp.pi / 2])
+        integral, _ = _quarter_period_mean(lambda u: mp.polyval(sums, w * u ** 2), prec)
         series = _series_value(LatticeSpec("sc", d), z, prec, terms=200)
         check = _contract_check(integral, series, prec)
         reports.append(ConditionReport(

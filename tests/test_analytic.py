@@ -237,6 +237,16 @@ class TestSeriesEval:
         with pytest.raises(ResourceLimit):
             lgf_series_eval(LatticeSpec("bcc", 4), 1, 20, terms=7000)
 
+    def test_prec_capped_at_one(self):
+        # max(1500, 80 prec) terms at prec + 10 digits: prec 100 runs, a
+        # runaway prec is refused before the first term
+        spec = LatticeSpec("bcc", 4)
+        assert lgf_series_eval(spec, 1, 100, tail="power-law-corrected").terms_used == 8000
+        with pytest.raises(ResourceLimit):
+            lgf_series_eval(spec, 1, 100000, tail="power-law-corrected")
+        with pytest.raises(ResourceLimit):
+            lgf_series_eval(spec, 1, 100000, terms=2000)
+
     def test_unknown_tail_mode(self):
         with pytest.raises(ValueError):
             lgf_series_eval(LatticeSpec("sc", 3), "0.2", 20, tail="pade")
@@ -268,6 +278,10 @@ class TestPFQ:
         r = lgf_series_eval(LatticeSpec("bcc", d), 1, prec, tail="power-law-corrected")
         with mp.workdps(prec + 20):
             assert abs(v - r.value) <= mp.mpf(10) ** (-(prec + 5))
+
+    def test_prec_capped_at_one(self):
+        with pytest.raises(ResourceLimit):
+            pFq_eval(["1/2"] * 4, [1] * 3, 1, 100000)
 
     def test_divergence_guards(self):
         with pytest.raises(DivergenceError):
@@ -398,6 +412,19 @@ class TestClosedForms:
                         bad.append(f"z={z} prec={prec}: {mp.nstr(gap, 3)}")
         assert not bad, bad
 
+    @pytest.mark.parametrize("prec", [25, 40])
+    def test_fourd_near_the_branch_point(self, prec):
+        # at z = 0.99 the integrand's singularity sits 0.14 from the real
+        # phi axis; the reference is mp.quad of the same integrand
+        with mp.workdps(prec + 20):
+            z = mp.mpf("0.99")
+            ref = 8 / mp.pi ** 3 * mp.quad(
+                lambda phi: (mp.ellipk(analytic._diamond_k2(z * mp.sin(phi), +1))
+                             * mp.ellipk(analytic._diamond_k2(z * mp.sin(phi), -1))),
+                [0, mp.pi / 2])
+            gap = abs(fourd_sc_double_elliptic("0.99", prec) - ref)
+            assert gap <= mp.mpf(10) ** (2 - prec) * ref
+
 
 class TestHoneycombMaps:
     """R(xi) = sum b_n xi^(2n) pushed through the four cubic-family maps."""
@@ -458,6 +485,37 @@ class TestQuadrature:
         assert bessel_I0(0) == 1
 
 
+class TestQuarterPeriodMean:
+    """(2/pi) int_0^(pi/2) f(sin phi) dphi by the periodic trapezoid rule."""
+
+    @pytest.mark.parametrize("prec", [20, 50])
+    @pytest.mark.parametrize("c", ["0.5", "3"])
+    def test_cosh_mean_is_i0(self, c, prec):
+        # (1/pi) int_0^pi cosh(c sin phi) dphi = I0(c)
+        with mp.workdps(prec + 20):
+            c = mp.mpf(c)
+            value, err = analytic._quarter_period_mean(lambda u: mp.cosh(c * u), prec)
+            ref = mp.besseli(0, c)
+            assert abs(value - ref) <= mp.mpf(10) ** (2 - prec) * ref
+            assert 0 < err
+
+    def test_one_call_per_node(self):
+        args = []
+
+        def f(u):
+            args.append(u)
+            return mp.cosh(3 * u)
+
+        analytic._quarter_period_mean(f, 30)
+        assert len(args) == len(set(args)) > 3
+
+    def test_kink_refused(self):
+        # |sin phi| is not analytic at phi = 0: the sums converge only
+        # like panels^-2 and run into the panel cap
+        with pytest.raises(PrecisionNotMet):
+            analytic._quarter_period_mean(abs, 20)
+
+
 # -- Bessel-integral identities -----------------------------------------------
 
 class TestBesselIdentities:
@@ -495,6 +553,26 @@ class TestBesselIdentities:
         with mp.workdps(30):
             assert abs(c.lhs - c.rhs) < mp.mpf("1e-5")
         assert args and len(args) == len(set(args))
+
+    def test_connection_outer_rule_is_small(self, monkeypatch):
+        # one inner K0 rule per outer node, 9 nodes at prec 5 where
+        # tanh-sinh took 53
+        calls = []
+        besseli = mp.besseli
+
+        def counting(n, x):
+            calls.append(x)
+            return besseli(n, x)
+
+        monkeypatch.setattr(mp, "besseli", counting)
+        assert bool(bessel_connection_check(3, "0.4", 5))
+        assert len(calls) <= 3000
+
+    def test_connection_at_prec_20(self):
+        c = bessel_connection_check(3, "0.4", 20)
+        assert bool(c)
+        with mp.workdps(40):
+            assert abs(c.lhs - c.rhs) <= mp.mpf("1e-18") * abs(c.rhs)
 
     @pytest.mark.parametrize("prec", [5, 6])
     def test_connection_bound_is_relative(self, prec):

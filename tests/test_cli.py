@@ -409,6 +409,9 @@ class TestRunner:
         # the bcc z = 1 terms come without a table, but not without the cap
         (["eval", "lgf", "--family", "bcc", "--dim", "4", "--z", "1",
           "--terms", "10000000"], LIMIT, "ResourceLimit"),
+        # 8 10^6 terms at 10^5 digits if the term count followed --prec
+        (["eval", "lgf", "--family", "bcc", "--dim", "4", "--z", "1",
+          "--prec", "100000"], LIMIT, "ResourceLimit"),
     ])
     def test_error_document(self, capsys, tmp_path, argv, code, error):
         bad = tmp_path / "bad.txt"
