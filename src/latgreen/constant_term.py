@@ -5,6 +5,12 @@ monomial of K is a step, its exponent vector the displacement, and the
 constant term collects the walks whose displacements cancel.  This is
 the second, independent source for every coefficient table.
 
+ct_sequence walks the class masses of K^m under the kernel's symmetry
+group only up to m = ceil(n/2) and reads each CT[K^n] off two adjacent
+powers, pairing every class with its mirror class.  class_bound counts,
+before any work, how many classes that walk can hold at its top power,
+and a request over the budget raises ResourceLimit.
+
 The registry kernels are read from the family definitions in
 latgreen.lattices.  The diamond form (1 + sum_i x_i)(1 + sum_i 1/x_i)
 generalizes the honeycomb kernel (1+x+y)(1+1/x+1/y); its constant terms
@@ -20,12 +26,14 @@ lattice steps per kernel power, so CT[K^n] is the 2n-step count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial, gcd, prod
+from operator import add
 
 from .errors import ResourceLimit, UnsupportedTerm
 from .lattices import LatticeSpec
 from .reports import VerifyReport
 
-DEFAULT_BUDGET = 50_000_000  # monomials held at once
+DEFAULT_BUDGET = 50_000_000  # classes held at one power
 
 
 class LaurentPoly:
@@ -220,55 +228,169 @@ def printed_kernels() -> dict[str, KernelSpec]:
 # CT extraction
 
 
-def _reach(poly: LaurentPoly) -> tuple[int, ...]:
-    r = [0] * poly.nvars
-    for e in poly.terms:
-        for i, x in enumerate(e):
-            a = abs(x)
-            if a > r[i]:
-                r[i] = a
-    return tuple(r)
-
-
 def _canon(symmetry: str):
+    """The canonical class of an exponent vector, given as any iterable."""
     if symmetry == "hyperoctahedral":
-        return lambda e: tuple(sorted(abs(x) for x in e))
+        return lambda e: tuple(sorted(map(abs, e)))
     if symmetry == "permutation":
         return lambda e: tuple(sorted(e))
-    return lambda e: e
+    return tuple
+
+
+def _mirror_and_orbit(symmetry: str, nvars: int):
+    """For a canonical class k: canon(-k) and the size of k's orbit.
+
+    The orbit of a sorted k under coordinate permutations has
+    d!/prod(m!) members, m running over the multiplicities of its
+    entries; sign flips multiply that by 2 per nonzero entry."""
+    if symmetry == "none":
+        return lambda k: (tuple(-x for x in k), 1)
+    full = factorial(nvars)
+
+    def permuted(k):
+        size, run = full, 1
+        for a, b in zip(k, k[1:]):
+            run = run + 1 if a == b else 1
+            size //= run
+        return size
+
+    if symmetry == "permutation":
+        # sorted ascending, so -k sorted is k negated and reversed
+        return lambda k: (tuple(-x for x in reversed(k)), permuted(k))
+    # sorted |entries| are their own mirror; zeros sort first
+    return lambda k: (k, permuted(k) << (nvars - k.count(0)))
+
+
+def _entry_runs(K: LaurentPoly, power: int) -> list[list[tuple[int, int, int]]]:
+    """Per coordinate i, the entries e_i of K^power's exponents allowed by
+    |e_i| <= power * r_i and e_i = power * c_i mod g_i, where r_i is the
+    largest |e_i| over K's exponents, c_i any one of them and g_i the gcd
+    of their differences.  Each is given as runs (a, g, n) of |e_i|, the
+    n values a, a + g, ..., a + (n-1) g: first e_i >= 0, then e_i < 0."""
+    exps = list(K.terms)
+    out = []
+    for i in range(K.nvars):
+        g = 0
+        for e in exps:
+            g = gcd(g, e[i] - exps[0][i])
+        base, reach = power * exps[0][i], power * max(abs(e[i]) for e in exps)
+        if g == 0:
+            runs = [(abs(base), 1, 1)]
+        else:
+            runs = [(a, g, (reach - a) // g + 1) for a in (base % g, -base % g or g) if a <= reach]
+        out.append(runs)
+    return out
+
+
+def _times_gauss(f: list[int], run: tuple[int, int, int], i: int) -> list[int]:
+    """f times the generating function, by sum, of the multisets of i values
+    of the run: x^(i a) times the Gaussian binomial [n-1+i choose i] in x^g,
+    applied as i factors (1 - x^(g (n-1+m))) / (1 - x^(g m)).  Truncated
+    to the length of f."""
+    a, g, n = run
+    top = len(f) - 1
+    if i * a > top:
+        return [0] * (top + 1)
+    u = [0] * (i * a) + f[: top + 1 - i * a]
+    for m in range(1, i + 1):
+        k = g * (n - 1 + m)
+        for s in range(top, k - 1, -1):
+            u[s] -= u[s - k]
+        k = g * m
+        for s in range(k, top + 1):
+            u[s] += u[s - k]
+    return u
+
+
+def class_bound(kspec: KernelSpec, power: int, cap: int | None = None) -> int:
+    """An upper bound on the canonical classes ct_sequence holds at a power.
+
+    Every exponent vector e of K^power has |e|_1 <= power * rho, where
+    rho is the largest |e|_1 over K's exponents, and entries from
+    _entry_runs.  This counts the canonical classes of those vectors
+    (vectors under no symmetry, multisets of entries under permutations,
+    of |entries| under sign flips too) by generating functions in x^|e|_1,
+    truncated past power * rho.  With cap, when the classes whose entries
+    all have |e_i| <= power * rho / d (a closed-form count) already number
+    more than cap, that count is returned instead, without the recurrence."""
+    K, d = kspec.kernel, kspec.kernel.nvars
+    top = power * max(sum(map(abs, e)) for e in K.terms)
+    runs = _entry_runs(K, power)
+    if kspec.symmetry == "hyperoctahedral":
+        runs = [r[:1] for r in runs]     # |e_i| >= 0 covers e_i < 0 as well
+    # the classes with every |e_i| <= top // d, all within |e|_1 <= top
+    low = [sum(min(n, (top // d - a) // g + 1) for a, g, n in r if a <= top // d) for r in runs]
+    floor = prod(low) if kspec.symmetry == "none" else comb(low[0] + d - 1, d)
+    if cap is not None and floor > cap:
+        return floor
+    if kspec.symmetry == "none":
+        ways = [1] + [0] * top
+        for r in runs:
+            parts = [_times_gauss(ways, run, 1) for run in r]
+            ways = [sum(col) for col in zip(*parts)]
+        return sum(ways)
+    # f[j]: multisets of j entries from the runs so far, by sum of |entries|
+    f = [[1] + [0] * top] + [[0] * (top + 1) for _ in range(d)]
+    for run in runs[0]:               # the same for every coordinate under the group
+        f = [[sum(col) for col in zip(*(_times_gauss(f[j - i], run, i) for i in range(j + 1)))]
+             for j in range(d + 1)]
+    return sum(f[d])
 
 
 def ct_sequence(kspec: KernelSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> list[int]:
-    """CT[K^n] for n = 0..n_max.
+    """CT[K^n] for n = 0..n_max, from the powers of K up to M = ceil(n_max/2).
 
-    The walk distribution is folded onto canonical exponent classes
-    under the kernel's symmetry group; class mass pushed from a single
-    representative is exact because every member of a class scatters
-    into the same classes with the same weights.
+    For a + b = n, CT[K^n] = sum_e [K^a]_e [K^b]_(-e): the walks of n
+    steps that return, split after a steps.  The walk holds the total
+    mass A_k of each canonical class k under the kernel's symmetry
+    group (pushing class mass from one representative is exact, since
+    every member of a class scatters into the same classes with the same
+    weights).  The members of k share one coefficient A_k/|orbit k|, and
+    their negatives make up the class canon(-k), of the same orbit size,
+    whose members share A'_canon(-k)/|orbit k| in the other power.  The
+    |orbit k| pairs in class k therefore give
+
+        CT[K^(a+b)] = sum_k A^(a)_k A^(b)_canon(-k) / |orbit k|,
+
+    so power m yields CT[K^(2m)] (a = b = m) and CT[K^(2m-1)]
+    (a = m, b = m - 1) in one pass over its classes; only powers m - 1
+    and m are held.  The lookup at canon(-k) keeps this exact for
+    kernels with K(1/x) != K(x).
+
+    Raises ResourceLimit before any work when class_bound at power M
+    exceeds budget.
     """
     K = kspec.kernel
-    nvars = K.nvars
-    reach = _reach(K)
+    half = (n_max + 1) // 2
+    if class_bound(kspec, half, budget) > budget:
+        raise ResourceLimit(f"CT to n = {n_max} walks to power {half}, whose class "
+                            f"bound exceeds the budget of {budget} classes")
     canon = _canon(kspec.symmetry)
+    pair = _mirror_and_orbit(kspec.symmetry, K.nvars)
     steps = list(K.terms.items())
-    origin = (0,) * nvars
-    cur = {origin: 1}
+    cur = {(0,) * K.nvars: 1}
     out = [1]
-    for step in range(n_max):
-        remaining = n_max - step - 1
+    for _ in range(half):
         nxt: dict[tuple[int, ...], int] = {}
         for cls, mass in cur.items():
+            moves: dict[tuple[int, ...], int] = {}
             for ek, ck in steps:
-                ne = tuple(a + b for a, b in zip(cls, ek))
-                if any(abs(x) > remaining * r for x, r in zip(ne, reach)):
-                    continue
-                key = canon(ne)
-                nxt[key] = nxt.get(key, 0) + mass * ck
-        if len(nxt) > budget:
-            raise ResourceLimit(f"{len(nxt)} classes at power {step + 1} exceeds budget {budget}")
-        cur = nxt
-        out.append(cur.get(origin, 0))
-    return out
+                key = canon(map(add, cls, ek))
+                moves[key] = moves.get(key, 0) + ck
+            for key, w in moves.items():
+                nxt[key] = nxt.get(key, 0) + mass * w
+        prev, cur = cur, nxt
+        odd = even = 0
+        for cls, mass in cur.items():
+            neg, size = pair(cls)
+            share, rest = divmod(mass, size)
+            if rest:
+                raise ArithmeticError(f"class {cls} mass {mass} is not a multiple of "
+                                      f"its orbit size {size}")
+            odd += share * prev.get(neg, 0)
+            even += share * cur.get(neg, 0)
+        out += [odd, even]
+    return out[: n_max + 1]
 
 
 def ct_series(kspec: KernelSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> list[int]:

@@ -406,6 +406,9 @@ class TestRunner:
         # 5.7M cosine parity classes, about a minute of work if not refused
         (["coeffs", "--family", "diamond", "--dim", "5", "--method", "all"],
          LIMIT, "ResourceLimit"),
+        # sc d = 6 to 798 steps walks to power 399: billions of CT classes
+        (["coeffs", "--family", "sc", "--dim", "6", "--method", "ct", "--terms", "400"],
+         LIMIT, "ResourceLimit"),
         # the bcc z = 1 terms come without a table, but not without the cap
         (["eval", "lgf", "--family", "bcc", "--dim", "4", "--z", "1",
           "--terms", "10000000"], LIMIT, "ResourceLimit"),

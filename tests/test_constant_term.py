@@ -3,10 +3,14 @@
 from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from latgreen import constant_term
 from latgreen.constant_term import (
+    DEFAULT_BUDGET,
     KernelSpec,
     LaurentPoly,
+    class_bound,
     ct_sequence,
     ct_series,
     format_kernel,
@@ -70,7 +74,7 @@ def _registry_kernels(max_dim):
 
 def _literal_powers(ks, n_max):
     """CT of K, K*K, ..., K^n_max by plain LaurentPoly products: no
-    pruning and no symmetry folding, so an independent reference."""
+    pairing and no symmetry folding, so an independent reference."""
     power = LaurentPoly.constant(1, ks.kernel.nvars)
     out = [1]
     for _ in range(n_max):
@@ -92,12 +96,84 @@ def test_ct_sequence_zero_and_odd():
 
 
 def test_pruning_agrees_with_unpruned():
-    # ct_sequence prunes monomials that cannot return and folds the rest
-    # onto symmetry classes; the literal power does neither
+    # ct_sequence folds the walk onto symmetry classes, walks only to
+    # half the power and pairs the classes of two powers; the literal
+    # power does none of that
     for name, ks in printed_kernels().items():
         assert ct_sequence(ks, 8) == _literal_powers(ks, 8), name
     for name, ks in _registry_kernels(3):
         assert ct_sequence(ks, 6) == _literal_powers(ks, 6), name
+
+
+def test_pairing_at_odd_n_max():
+    # an odd n_max pairs power (n+1)/2 with power (n-1)/2 at the top
+    for name, ks in list(printed_kernels().items()) + list(_registry_kernels(4)):
+        assert ct_sequence(ks, 5) == _literal_powers(ks, 5), name
+
+
+def test_pairing_looks_up_the_mirror_class():
+    # K(1/x) != K(x): a class pairs with canon(-k), not with k
+    ks = KernelSpec(parse_kernel("1 1 0\n1 0 1\n1 -1 -1\n"), 1)
+    assert ct_sequence(ks, 9) == [1, 0, 0, 6, 0, 0, 90, 0, 0, 1680]
+
+
+def test_wrong_orbit_size_fails_loudly(monkeypatch):
+    # each class mass is divided by its orbit size; a remainder raises
+    exact = constant_term._mirror_and_orbit
+
+    def doubled(symmetry, nvars):
+        pair = exact(symmetry, nvars)
+        return lambda k: (pair(k)[0], 2 * pair(k)[1])
+
+    monkeypatch.setattr(constant_term, "_mirror_and_orbit", doubled)
+    with pytest.raises(ArithmeticError, match="orbit size"):
+        ct_sequence(kernel("sc", 3), 4)
+
+
+@st.composite
+def free_kernels(draw):
+    """Small kernels with positive coefficients and no symmetry claim,
+    most of them with K(1/x) != K(x)."""
+    nvars = draw(st.integers(2, 3))
+    exps = st.tuples(*[st.integers(-2, 2)] * nvars)
+    terms = draw(st.dictionaries(exps, st.integers(1, 3), min_size=1, max_size=4))
+    return KernelSpec(LaurentPoly(terms, nvars), 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(free_kernels())
+def test_pairing_matches_literal_powers(ks):
+    assert ct_sequence(ks, 7) == _literal_powers(ks, 7)
+
+
+def _class_count(ks, power):
+    canon = constant_term._canon(ks.symmetry)
+    literal = LaurentPoly.constant(1, ks.kernel.nvars)
+    for _ in range(power):
+        literal = literal * ks.kernel
+    return len({canon(e) for e in literal.terms})
+
+
+def test_class_bound_covers_the_classes():
+    kernels = list(_registry_kernels(4)) + list(printed_kernels().items())
+    for name, ks in kernels:
+        for power in (0, 1, 2, 3, 4):
+            assert class_bound(ks, power) >= _class_count(ks, power), (name, power)
+    # exact where every entry of the box and residue is reached
+    assert class_bound(kernel("bcc", 4), 4) == _class_count(kernel("bcc", 4), 4) == 15
+
+
+def test_class_bound_refuses_before_work():
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimit, match="class bound"):
+        ct_series(kernel("sc", 6), 399)
+    assert time.perf_counter() - start < 2
+    # the largest requests of the tests and the benchmark are admitted
+    for family, d, n in [("diamond", 5, 20), ("bcc", 5, 20), ("sc", 2, 30), ("bcc", 6, 8)]:
+        p = LatticeSpec(family, d).powers_per_index
+        assert class_bound(kernel(family, d), (p * n + 1) // 2, DEFAULT_BUDGET) <= DEFAULT_BUDGET
 
 
 def test_ct_power_matches_sequence():
