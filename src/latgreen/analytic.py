@@ -804,6 +804,16 @@ def _surd_to_mpf(x: QSqrt3, prec: int):
         return +x.to_mpf()
 
 
+def _ramanujan_sum(a: QSqrt3, b: QSqrt3, x0: QSqrt3, table, terms: int) -> QSqrt3:
+    """sum_{n<terms} (a n + b) table[n] x0^n, exact in Q(sqrt(3))."""
+    acc = QSqrt3(0)
+    power = QSqrt3(1)
+    for n in range(terms):
+        acc = acc + power * (a * n + b) * table[n]
+        power = power * x0
+    return acc
+
+
 def ramanujan_eval(series_id: str, terms: int, prec: int = 30):
     """Exact partial sum of one 1/pi series against its target.
 
@@ -815,12 +825,7 @@ def ramanujan_eval(series_id: str, terms: int, prec: int = 30):
     if terms < 1:
         raise DomainError("terms >= 1")
     s = _RAMANUJAN[series_id]
-    table = coeffs(s.lattice, terms)
-    acc = QSqrt3(0)
-    power = QSqrt3(1)
-    for n in range(terms):
-        acc = acc + power * (s.a * n + s.b) * table[n]
-        power = power * s.x0
+    acc = _ramanujan_sum(s.a, s.b, s.x0, coeffs(s.lattice, terms), terms)
     with mp.workdps(_dps(prec)):
         partial = _surd_to_mpf(acc, prec)
         target = s.target()
@@ -847,15 +852,7 @@ def ramanujan_general_form_check(prec: int = 64) -> VerifyReport:
         if got != want:
             return VerifyReport(False, n, note="termwise multiplier mismatch")
     terms = max(80, int(prec / 1.4) + 20)
-    table = coeffs(_SC3, terms)
-    g = QSqrt3(0)
-    tg = QSqrt3(0)
-    power = QSqrt3(1)
-    for n in range(terms):
-        g = g + power * table[n]
-        tg = tg + power * table[n] * n
-        power = power * x0
-    combo = alpha * g + beta * tg
+    combo = _ramanujan_sum(beta, alpha, x0, coeffs(_SC3, terms), terms)
     with mp.workdps(_dps(prec)):
         value = _surd_to_mpf(combo, prec)
         check = _contract_check(value, 1 / mp.pi, prec)

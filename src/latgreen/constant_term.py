@@ -19,8 +19,9 @@ with the backward one).  The ad-hoc printed 3d/4d diamond kernels are
 kept in a separate registry and proven equivalent through
 kernel_equivalence rather than trusted.
 
-steps_per_power: two-site kernels (honeycomb, diamond) advance two
-lattice steps per kernel power, so CT[K^n] is the 2n-step count.
+Two-site kernels (honeycomb, diamond) advance two lattice steps per
+kernel power, so CT[K^n] is the 2n-step count; the family's LatticeSpec
+holds that indexing and the kernel mass it implies.
 """
 
 from __future__ import annotations
@@ -133,25 +134,20 @@ class KernelSpec:
     """
 
     kernel: LaurentPoly
-    steps_per_power: int
     family: str | None = None
     dim: int | None = None
     symmetry: str = "none"
     label: str = ""
 
     def __post_init__(self):
-        if self.steps_per_power not in (1, 2):
-            raise UnsupportedTerm("steps_per_power must be 1 or 2")
         if self.symmetry not in ("none", "permutation", "hyperoctahedral"):
             raise UnsupportedTerm(f"unknown symmetry {self.symmetry!r}")
         if not is_invariant(self.kernel, self.symmetry):
             raise UnsupportedTerm(f"kernel is not {self.symmetry}-invariant")
         if self.family is not None:
             spec = LatticeSpec(self.family, self.dim)
-            if self.steps_per_power != (2 if spec.row.two_site else 1):
-                raise UnsupportedTerm(f"steps_per_power {self.steps_per_power} is wrong for {self.family}")
             q = spec.coordination
-            want = q * q if self.steps_per_power == 2 else q
+            want = q * q if spec.row.two_site else q
             if self.kernel.eval_ones() != want:
                 raise UnsupportedTerm(
                     f"kernel mass {self.kernel.eval_ones()} != expected {want} for {self.family} d={self.dim}"
@@ -161,9 +157,7 @@ class KernelSpec:
 def kernel(family: str, d: int) -> KernelSpec:
     """The registry kernel for a lattice family at dimension d."""
     spec = LatticeSpec(family, d)
-    row = spec.row
-    return KernelSpec(LaurentPoly(spec.kernel_terms(), d), 2 if row.two_site else 1,
-                      family, d, row.symmetry, spec.name)
+    return KernelSpec(LaurentPoly(spec.kernel_terms(), d), family, d, spec.row.symmetry, spec.name)
 
 
 def printed_kernels() -> dict[str, KernelSpec]:
@@ -180,27 +174,25 @@ def printed_kernels() -> dict[str, KernelSpec]:
 
     out = {}
     out["square-product"] = KernelSpec(
-        (x2 + ix2) * (y2 + iy2), 1, "square", 2, "hyperoctahedral", "square-product"
+        (x2 + ix2) * (y2 + iy2), "square", 2, "hyperoctahedral", "square-product"
     )
-    out["square-sum"] = KernelSpec(x2 + ix2 + y2 + iy2, 1, "square", 2, "hyperoctahedral", "square-sum")
+    out["square-sum"] = KernelSpec(x2 + ix2 + y2 + iy2, "square", 2, "hyperoctahedral", "square-sum")
     out["triangular"] = kernel("triangular", 2)
     out["honeycomb"] = KernelSpec(
-        (1 + x2 + y2) * (1 + ix2 + iy2), 2, "honeycomb", 2, "permutation", "honeycomb"
+        (1 + x2 + y2) * (1 + ix2 + iy2), "honeycomb", 2, "permutation", "honeycomb"
     )
     out["diamond3"] = KernelSpec(
         (ix3 + x3 + z3 * (y3 + iy3)) * (x3 + ix3 + iz3 * (y3 + iy3)),
-        2,
         "diamond",
         3,
         "none",
         "diamond3-printed",
     )
     out["sc3"] = kernel("sc", 3)
-    out["bcc3"] = KernelSpec((x3 + ix3) * (y3 + iy3) * (z3 + iz3), 1, "bcc", 3, "hyperoctahedral", "bcc3")
+    out["bcc3"] = KernelSpec((x3 + ix3) * (y3 + iy3) * (z3 + iz3), "bcc", 3, "hyperoctahedral", "bcc3")
     out["fcc3"] = kernel("fcc", 3)
     out["diamond4"] = KernelSpec(
         (ix4 + x4 + z4 * y4 + z4 * iy4 + w4 * ix4) * (x4 + ix4 + y4 * iz4 + iy4 * iz4 + x4 * iw4),
-        2,
         "diamond",
         4,
         "none",
@@ -208,14 +200,13 @@ def printed_kernels() -> dict[str, KernelSpec]:
     )
     out["sc4"] = kernel("sc", 4)
     out["bcc4"] = KernelSpec(
-        (x4 + ix4) * (y4 + iy4) * (z4 + iz4) * (w4 + iw4), 1, "bcc", 4, "hyperoctahedral", "bcc4"
+        (x4 + ix4) * (y4 + iy4) * (z4 + iz4) * (w4 + iw4), "bcc", 4, "hyperoctahedral", "bcc4"
     )
     out["fcc4"] = KernelSpec(
         (x4 + ix4) * (y4 + iy4)
         + (x4 + ix4) * (z4 + iz4)
         + (z4 + iz4) * (y4 + iy4)
         + (w4 + iw4) * (x4 + ix4 + y4 + iy4 + z4 + iz4),
-        1,
         "fcc",
         4,
         "hyperoctahedral",

@@ -134,10 +134,6 @@ class LatticeSpec:
         return self.row.steps_per_index
 
     @property
-    def even_only(self) -> bool:
-        return self.steps_per_index == 2
-
-    @property
     def powers_per_index(self) -> int:
         """Kernel powers per table index: table[n] = CT[K^(powers_per_index * n)]."""
         return self.steps_per_index // 2 if self.row.two_site else self.steps_per_index
@@ -229,10 +225,6 @@ def s5_double_sum(n: int) -> int:
 
 # ---------------------------------------------------------------------------
 # family generators
-
-
-def _square(n: int) -> int:
-    return comb(2 * n, n) ** 2
 
 
 def _triangular_table(n_max: int) -> list[int]:
@@ -521,30 +513,23 @@ def coeffs(spec: LatticeSpec, n_max: int) -> CoeffTable:
     """Return-count table for the family, by its closed-form generator."""
     f, d = spec.family, spec.dim
     vals: Sequence[int]
-    if f == "honeycomb":
-        vals = [honeycomb_binomial_sum(n) for n in range(n_max + 1)]
-    elif f == "square":
-        vals = [_square(n) for n in range(n_max + 1)]
+    if f in ("honeycomb", "diamond"):
+        vals = structure_sums(d + 1, n_max)
+    elif f in ("square", "bcc"):
+        vals = [comb(2 * n, n) ** d for n in range(n_max + 1)]
     elif f == "triangular":
         vals = _triangular_table(n_max)
-    elif f == "diamond":
-        vals = structure_sums(d + 1, n_max)
-    elif f == "sc":
+    elif f in ("sc", "sincos4"):
         s = structure_sums(d, n_max)
         vals = [comb(2 * n, n) * s[n] for n in range(n_max + 1)]
-    elif f == "bcc":
-        vals = [comb(2 * n, n) ** d for n in range(n_max + 1)]
     elif f == "fcc":
         if d == 2:
             # degenerate: the 2d face-centred lattice is the square lattice
-            vals = [0 if n % 2 else _square(n // 2) for n in range(n_max + 1)]
+            vals = [0 if n % 2 else comb(n, n // 2) ** 2 for n in range(n_max + 1)]
         elif d == 3:
             vals = _fcc3_table(n_max)
         else:
             vals = esym_table(2, d, n_max)
-    elif f == "sincos4":
-        s = structure_sums(4, n_max)
-        vals = [comb(2 * n, n) * s[n] for n in range(n_max + 1)]
     elif f == "triples4":
         vals = triples4_table(n_max)
     else:  # pragma: no cover

@@ -9,10 +9,14 @@ sum C(2n,n)^4 z^n directly, and the quadratic map back to the physical
 expansion variable is recorded in the operator's note string).
 
 The Frobenius machinery works at a MUM point by running the coefficient
-recurrence over truncated jets in the local exponent eps; the jet
-coefficients are exactly the log-part series of the basis
+recurrence over truncated jets in the local exponent eps (`_jets`): each
+P_l is expanded once into integer Taylor rows, read at the integer
+n - l by scalar Horner, and a_n is solved from P_0(n + eps) by forward
+substitution.  The jet coefficients are exactly the log-part series of
+the basis
     y_j = sum_{m<=j} A_{j-m} log(z)^m / m!,
-which is the layout LogSeries stores.  The Yukawa coupling, instanton
+which is the layout LogSeries stores; `series_solution` is the same
+recurrence at jet width 1.  The Yukawa coupling, instanton
 inversion, the five Calabi-Yau structure conditions, the Appell
 symmetric-square test and the fifth-order Wronskian chain all sit on
 top of that basis.
@@ -162,20 +166,7 @@ class ThetaOperator:
         """The log-free solution normalized to 1 at 0 (needs MUM)."""
         if not self.is_mum():
             raise NotMUM("series solution at 0 requires P_0 = c theta^r")
-        out = [Q(1)]
-        for n in range(1, n_max + 1):
-            s = Q(0)
-            for l in range(1, min(n, self.degree) + 1):
-                pl = self.p[l]
-                m = n - l
-                acc, pw = Q(0), Q(1)
-                for c in pl:
-                    if c:
-                        acc += c * pw
-                    pw *= m
-                s += acc * out[m]
-            out.append(-s / (self.p[0][-1] * Q(n) ** self.order))
-        return PowerSeries(out)
+        return PowerSeries([a[0] for a in _jets(self, n_max, 1)])
 
 
 # -- registry ----------------------------------------------------------------
@@ -476,40 +467,44 @@ def indicial(op: ThetaOperator) -> IndicialReport:
 # -- Frobenius basis via eps-jets --------------------------------------------
 
 
-def _jmul(a: tuple, b: tuple, r: int) -> tuple:
-    out = [Q(0)] * r
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j in range(r - i):
-            bj = b[j]
-            if bj:
-                out[i + j] += ai * bj
-    return tuple(out)
+def _jets(op: ThetaOperator, n_max: int, width: int) -> list[list[Fraction]]:
+    """a_0 .. a_{n_max} of y = sum_n a_n z^(n+eps), a_0 = 1, as jets in eps
+    truncated at eps^width.
 
+    Each P_l is expanded once into its Taylor rows T_{l,i} = P_l^(i)/i!,
+    integer polynomials, so P_l(m + eps) = sum_i T_{l,i}(m) eps^i costs one
+    scalar Horner per row at the integer m.  The recurrence
+    P_0(n + eps) a_n = -sum_{l>=1} P_l(n - l + eps) a_{n-l} is then solved
+    by forward substitution in eps.
+    """
+    taylor = [
+        [[comb(k, i) * int(c) for k, c in enumerate(row)][i:] for i in range(width)]
+        for row in op.p
+    ]
 
-def _jinv(a: tuple, r: int) -> tuple:
-    if a[0] == 0:
-        raise ZeroDivisionError("jet not invertible")
-    out = [Q(0)] * r
-    out[0] = 1 / a[0]
-    for m in range(1, r):
-        acc = Q(0)
-        for j in range(1, m + 1):
-            if a[j]:
-                acc += a[j] * out[m - j]
-        out[m] = -acc * out[0]
-    return tuple(out)
+    def at(l: int, m: int) -> list[int]:
+        out = []
+        for coeffs in taylor[l]:
+            acc = 0
+            for c in reversed(coeffs):
+                acc = acc * m + c
+            out.append(acc)
+        return out
 
-
-def _jpoly(coeffs: Sequence[Fraction], n: int, r: int) -> tuple:
-    """P(n + eps) truncated at eps^r, by Horner with base (n, 1, 0, ...)."""
-    out = (Q(0),) * r
-    base = (Q(n), Q(1)) + (Q(0),) * (r - 2) if r >= 2 else (Q(n),)
-    for c in reversed(coeffs):
-        out = _jmul(out, base, r)
-        out = (out[0] + c,) + out[1:]
-    return out
+    jets = [[Q(1)] + [Q(0)] * (width - 1)]
+    for n in range(1, n_max + 1):
+        s = [Q(0)] * width
+        for l in range(1, min(n, op.degree) + 1):
+            t, a = at(l, n - l), jets[n - l]
+            for i in range(width):
+                s[i] += sum(t[i - j] * a[j] for j in range(i + 1) if t[i - j])
+        q = at(0, n)  # = lead*(n+eps)^r at a MUM point, invertible for n >= 1
+        a_n: list[Fraction] = []
+        for i in range(width):
+            acc = s[i] + sum(q[i - j] * a_n[j] for j in range(i) if q[i - j])
+            a_n.append(-acc / q[0])
+        jets.append(a_n)
+    return jets
 
 
 @dataclass(frozen=True)
@@ -534,16 +529,7 @@ def frobenius(op: ThetaOperator, n_max: int) -> FrobeniusBasis:
     if not op.is_mum():
         raise NotMUM("Frobenius basis implemented at MUM points only")
     r = op.order
-    lead = op.p[0][-1]
-    jets: list[tuple] = [(Q(1),) + (Q(0),) * (r - 1)]
-    for n in range(1, n_max + 1):
-        s = (Q(0),) * r
-        for l in range(1, min(n, op.degree) + 1):
-            pl = _jpoly(op.p[l], n - l, r)
-            s = tuple(x + y for x, y in zip(s, _jmul(pl, jets[n - l], r)))
-        p0 = _jpoly(op.p[0], n, r)  # = lead*(n+eps)^r, invertible for n >= 1
-        a_n = _jmul(tuple(-x for x in s), _jinv(p0, r), r)
-        jets.append(a_n)
+    jets = _jets(op, n_max, r)
     cols = [PowerSeries([jets[n][m] for n in range(n_max + 1)]) for m in range(r)]
     sols = [LogSeries([cols[j - m] for m in range(j + 1)]) for j in range(r)]
     return FrobeniusBasis(tuple(sols), n_max)

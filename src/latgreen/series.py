@@ -300,17 +300,6 @@ class PowerSeries:
             raise NotReversible("reversion did not verify: a(b(q)) != q")
         return b
 
-    # -- conversions ---------------------------------------------------------
-
-    def scale_variable(self, lam: Scalar) -> "PowerSeries":
-        """z -> lam*z, i.e. c_n -> c_n lam^n."""
-        lam = _q(lam)
-        out, p = [], Q(1)
-        for c in self.coeffs:
-            out.append(c * p)
-            p *= lam
-        return PowerSeries(out)
-
 
 class LogSeries:
     """sum_j parts[j] * log(z)^j / j! with exact PowerSeries parts.

@@ -58,34 +58,6 @@ class QSqrt3:
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "QSqrt3":
-        # (a + b r)(a - b r) = a^2 - 3 b^2
-        n = self.a * self.a - 3 * self.b * self.b
-        if n == 0:
-            raise ZeroDivisionError("zero element of Q(sqrt(3))")
-        return QSqrt3(self.a / n, -self.b / n)
-
-    def __truediv__(self, other):
-        return self * _coerce(other).inverse()
-
-    def __rtruediv__(self, other):
-        return _coerce(other) * self.inverse()
-
-    def __pow__(self, k: int) -> "QSqrt3":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = QSqrt3(1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
-    def is_rational(self) -> bool:
-        return self.b == 0
-
     def to_mpf(self) -> mp.mpf:
         """Value at the current mpmath working precision."""
         r3 = mp.sqrt(mp.mpf(3))
@@ -102,5 +74,3 @@ def _coerce(x) -> QSqrt3 | None:
         return QSqrt3(x)
     return None
 
-
-SQRT3 = QSqrt3(0, 1)

@@ -56,7 +56,7 @@ def test_kernel_mass_is_coordination():
     ]:
         ks = kernel(family, d)
         q = LatticeSpec(family, d).coordination
-        want = q * q if ks.steps_per_power == 2 else q
+        want = q * q if LatticeSpec(family, d).row.two_site else q
         assert ks.kernel.eval_ones() == want, (family, d)
 
 
@@ -113,7 +113,7 @@ def test_pairing_at_odd_n_max():
 
 def test_pairing_looks_up_the_mirror_class():
     # K(1/x) != K(x): a class pairs with canon(-k), not with k
-    ks = KernelSpec(parse_kernel("1 1 0\n1 0 1\n1 -1 -1\n"), 1)
+    ks = KernelSpec(parse_kernel("1 1 0\n1 0 1\n1 -1 -1\n"))
     assert ct_sequence(ks, 9) == [1, 0, 0, 6, 0, 0, 90, 0, 0, 1680]
 
 
@@ -137,7 +137,7 @@ def free_kernels(draw):
     nvars = draw(st.integers(2, 3))
     exps = st.tuples(*[st.integers(-2, 2)] * nvars)
     terms = draw(st.dictionaries(exps, st.integers(1, 3), min_size=1, max_size=4))
-    return KernelSpec(LaurentPoly(terms, nvars), 1)
+    return KernelSpec(LaurentPoly(terms, nvars))
 
 
 @settings(max_examples=40, deadline=None)
@@ -285,13 +285,13 @@ def test_kernel_text_parsing():
 
 def test_user_kernel_sequence():
     # a kernel handed in by text, no family binding: raw CT sequence
-    ks = KernelSpec(parse_kernel("1 1\n1 -1\n"), 1)
+    ks = KernelSpec(parse_kernel("1 1\n1 -1\n"))
     assert ct_sequence(ks, 6) == [1, 0, 2, 0, 6, 0, 20]
 
 
 def test_symmetry_claims_validated():
     with pytest.raises(UnsupportedTerm):
-        KernelSpec(parse_kernel("1 1 0\n1 0 1\n"), 1, symmetry="hyperoctahedral")
+        KernelSpec(parse_kernel("1 1 0\n1 0 1\n"), symmetry="hyperoctahedral")
 
 
 def _brute_force_invariant(poly, symmetry):

@@ -262,6 +262,19 @@ def test_frobenius_y0_is_raw_series():
     assert basis.solutions[0].part(0).agrees_with(raw_series("sc4"), 20)
 
 
+@pytest.mark.parametrize("name", ["bcc4", "sc4", "diamond4", "fcc4", "sc3",
+                                  "apery-zeta2", "apery-zeta3", "iwan3"])
+def test_frobenius_basis_is_killed(name):
+    # one recurrence gives both: the whole basis solves the operator, logs
+    # included, and series_solution is the basis's log-free y_0
+    op = registry(name)
+    basis = frobenius(op, 24)
+    assert len(basis.solutions) == op.order
+    for yj in basis:
+        assert op.apply(yj).is_zero()
+    assert op.series_solution(24) == basis.log_free_parts()[0]
+
+
 # -- Yukawa coupling and instanton numbers ------------------------------------
 
 SC4_K = [1, 4, 164, 5800, 196772]
