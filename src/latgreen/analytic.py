@@ -888,7 +888,7 @@ def _laurent_one_var(F: dict):
     return cs
 
 
-def log_mahler_measure(F: dict, prec: int = 30, method: str = "quadrature"):
+def log_mahler_measure(F: dict, prec: int = 30):
     """Numeric m(F) of a Laurent polynomial given as {exponents: coeff}.
 
     One variable: exact Jensen evaluation, log|lead| + sum log|roots
@@ -897,8 +897,6 @@ def log_mahler_measure(F: dict, prec: int = 30, method: str = "quadrature"):
     quadrature on split panels; the contract is the (weaker) agreement
     of two panel counts, reported as the error.
     """
-    if method != "quadrature":
-        raise DomainError(f"unknown method {method!r}")
     if not F:
         raise DomainError("zero polynomial")
     nvars = len(next(iter(F)))

@@ -30,7 +30,6 @@ import json
 import os
 import sys
 import time
-from fractions import Fraction
 from math import comb
 
 from .constant_term import ct_series, kernel
@@ -102,13 +101,6 @@ def _fstr(v, prec: int) -> str:
 
     with mp.workdps(prec):
         return mp.nstr(mp.mpmathify(v), prec)
-
-
-def _qstr(x) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
 
 
 def _conditions(reports) -> dict:
@@ -286,7 +278,7 @@ def cmd_ode_frobenius(args) -> dict:
 
     basis = frobenius(_load_operator(args), args.terms)
     sols = [{"log_degree": y.log_degree,
-             "parts": [[_qstr(c) for c in p.coeffs] for p in y.parts]}
+             "parts": [list(map(str, p.coeffs)) for p in y.parts]}
             for y in basis]
     return {"solutions": sols, "passed": True}
 
@@ -295,9 +287,9 @@ def cmd_ode_yukawa(args) -> dict:
     from .ode import yukawa
 
     yk = yukawa(_load_operator(args), args.terms, depth=args.depth)
-    return {"K_coeffs": [_qstr(c) for c in yk.K_coeffs],
-            "instantons": [_qstr(v) for v in yk.instantons],
-            "scaled_instantons": [_qstr(yk.s * v) for v in yk.instantons],
+    return {"K_coeffs": list(map(str, yk.K_coeffs)),
+            "instantons": list(map(str, yk.instantons)),
+            "scaled_instantons": [str(yk.s * v) for v in yk.instantons],
             "s": yk.s, "passed": True}
 
 

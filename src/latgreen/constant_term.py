@@ -8,8 +8,9 @@ the second, independent source for every coefficient table.
 ct_sequence walks the class masses of K^m under the kernel's symmetry
 group only up to m = ceil(n/2) and reads each CT[K^n] off two adjacent
 powers, pairing every class with its mirror class.  class_bound counts,
-before any work, how many classes that walk can hold at its top power,
-and a request over the budget raises ResourceLimit.
+before any work, how many classes that walk can hold at its top power.
+A request over the class budget, or whose work bound (powers x classes
+x kernel terms) exceeds CT_WORK_CAP, raises ResourceLimit.
 
 The registry kernels are read from the family definitions in
 latgreen.lattices.  The diamond form (1 + sum_i x_i)(1 + sum_i 1/x_i)
@@ -35,6 +36,7 @@ from .lattices import LatticeSpec
 from .reports import VerifyReport
 
 DEFAULT_BUDGET = 50_000_000  # classes held at one power
+CT_WORK_CAP = 10 ** 8  # powers x classes x kernel terms one walk may cost
 
 
 class LaurentPoly:
@@ -349,13 +351,19 @@ def ct_sequence(kspec: KernelSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> 
     kernels with K(1/x) != K(x).
 
     Raises ResourceLimit before any work when class_bound at power M
-    exceeds budget.
+    exceeds budget, or when M x class_bound x the kernel's term count,
+    which bounds the walk's work, exceeds CT_WORK_CAP.
     """
     K = kspec.kernel
     half = (n_max + 1) // 2
-    if class_bound(kspec, half, budget) > budget:
+    classes = class_bound(kspec, half, budget)
+    if classes > budget:
         raise ResourceLimit(f"CT to n = {n_max} walks to power {half}, whose class "
                             f"bound exceeds the budget of {budget} classes")
+    if half * classes * len(K.terms) > CT_WORK_CAP:
+        raise ResourceLimit(f"CT to n = {n_max} walks {half} powers over up to {classes} "
+                            f"classes and {len(K.terms)} kernel terms, over the work "
+                            f"cap of {CT_WORK_CAP}")
     canon = _canon(kspec.symmetry)
     pair = _mirror_and_orbit(kspec.symmetry, K.nvars)
     steps = list(K.terms.items())

@@ -37,7 +37,7 @@ from typing import Callable, Mapping, Sequence
 
 from .errors import ResourceLimit, UnsupportedLattice, UnsupportedTerm
 from .reports import VerifyReport
-from .series import PowerSeries
+from .series import PowerSeries, binomial_transform
 
 Q = Fraction
 
@@ -228,19 +228,11 @@ def s5_double_sum(n: int) -> int:
 
 
 def _triangular_table(n_max: int) -> list[int]:
-    hb = [honeycomb_binomial_sum(j) for j in range(n_max + 1)]
-    out = []
-    for n in range(n_max + 1):
-        out.append(sum(comb(n, j) * (-3) ** (n - j) * hb[j] for j in range(n + 1)))
-    return out
+    return binomial_transform([honeycomb_binomial_sum(j) for j in range(n_max + 1)], -3)
 
 
 def _fcc3_table(n_max: int) -> list[int]:
-    dia = structure_sums(4, n_max)
-    out = []
-    for n in range(n_max + 1):
-        out.append(sum(comb(n, j) * (-4) ** (n - j) * dia[j] for j in range(n + 1)))
-    return out
+    return binomial_transform(structure_sums(4, n_max), -4)
 
 
 def esym_table(k: int, d: int, n_max: int) -> list[int]:

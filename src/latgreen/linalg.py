@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
 from typing import Sequence
 
 from .errors import FitFailure
+from .series import _numerators
 
 Q = Fraction
 
@@ -209,8 +210,7 @@ def nullspace_modular(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fr
 
 def _verify_nullspace(rows: list[list[int]], basis: list[list[Fraction]]) -> bool:
     for v in basis:
-        den = lcm(*(x.denominator for x in v))
-        w = [int(x * den) for x in v]
+        w, _ = _numerators(v)
         for r in rows:
             if sum(a * b for a, b in zip(r, w)) != 0:
                 return False

@@ -7,6 +7,9 @@ the stored table IS the solution, i.e. y = sum a_{2n} z^n with raw
 integer counts (so bcc4's theta^4 - 16z(2theta+1)^4 kills
 sum C(2n,n)^4 z^n directly, and the quadratic map back to the physical
 expansion variable is recorded in the operator's note string).
+An operator stores its rows as primitive integers, and a fit builds
+its linear system from the integer numerators of the series over their
+common denominator; both clear denominators through series._numerators.
 
 The Frobenius machinery works at a MUM point by running the coefficient
 recurrence over truncated jets in the local exponent eps (`_jets`): each
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 from typing import Sequence
 
 from .errors import (
@@ -40,7 +43,7 @@ from .errors import (
 from .linalg import nullspace_fraction, nullspace_modular
 from .ratfunc import Poly, RatFunc, rational_roots
 from .reports import ConditionReport, VerifyReport
-from .series import LogSeries, PowerSeries
+from .series import LogSeries, PowerSeries, _numerators, binomial_transform
 
 Q = Fraction
 
@@ -66,11 +69,12 @@ def _stirling2(n: int) -> list[list[int]]:
 
 
 class ThetaOperator:
-    """sum_l z^l P_l(theta), exact rational coefficients.
+    """sum_l z^l P_l(theta), built from exact rational coefficients.
 
-    p[l][j] is the theta^j coefficient of P_l.  Content normalization
-    (integer entries, unit gcd, first nonzero entry of P_0 positive) is
-    applied on construction so equality means equality.
+    p[l][j] is the theta^j coefficient of P_l, an int: the rows are put
+    over their common denominator and divided by their content on
+    construction (unit gcd, first nonzero entry of P_0 positive), so
+    equality means equality.
     """
 
     __slots__ = ("p", "note")
@@ -89,16 +93,14 @@ class ThetaOperator:
             for r in rows:
                 r.pop()
             width -= 1
-        den = lcm(*(c.denominator for r in rows for c in r))
-        ints = [[int(c * den) for c in r] for r in rows]
-        g = gcd(*(c for r in ints for c in r))
+        ints, _ = _numerators([c for r in rows for c in r])
+        g = gcd(*ints)
         if g == 0:
             raise ValueError("zero operator")
-        first = next(c for r in ints for c in r if c != 0)
-        if first < 0:
+        if next(c for c in ints if c) < 0:
             g = -g
-        self.p: tuple[tuple[Fraction, ...], ...] = tuple(
-            tuple(Q(c, g) for c in r) for r in ints
+        self.p: tuple[tuple[int, ...], ...] = tuple(
+            tuple(c // g for c in ints[i:i + width]) for i in range(0, len(ints), width)
         )
         self.note = note
 
@@ -338,13 +340,7 @@ def monic_dform(op: ThetaOperator) -> list[RatFunc]:
 
 
 def write_operator(op: ThetaOperator) -> str:
-    lines = []
-    for l, row in enumerate(op.p):
-        body = " ".join(
-            str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-            for c in row)
-        lines.append(f"{l} : {body}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{l} : {' '.join(map(str, row))}\n" for l, row in enumerate(op.p))
 
 
 def parse_operator(text: str, note: str = "") -> ThetaOperator:
@@ -365,11 +361,6 @@ def parse_operator(text: str, note: str = "") -> ThetaOperator:
 # -- fitting -----------------------------------------------------------------
 
 
-def _row_scale_int(row: list[Fraction]) -> list[int]:
-    den = lcm(*(c.denominator for c in row))
-    return [int(c * den) for c in row]
-
-
 def fit_ode(series: PowerSeries, r: int, k: int, note: str = "") -> ThetaOperator | None:
     """Exact annihilator of shape sum_{l<=k} z^l P_l(theta), deg P_l <= r.
 
@@ -386,21 +377,18 @@ def fit_ode(series: PowerSeries, r: int, k: int, note: str = "") -> ThetaOperato
     if n_terms < unknowns + _GUARD:
         raise InsufficientTerms(
             f"need {unknowns + _GUARD} coefficients for r={r} k={k}, have {n_terms}")
+    # row n is sum_l P_l(n - l) f_(n-l) = 0, times the common denominator of f
+    f, _ = _numerators(series.coeffs)
     rows = []
     for n in range(n_terms):
-        row = [Q(0)] * unknowns
+        row = [0] * unknowns
         for l in range(min(n, k) + 1):
-            fm = series[n - l]
-            if fm == 0:
-                continue
-            pw = Q(1)
-            base = l * (r + 1)
-            for j in range(r + 1):
-                row[base + j] = fm * pw
-                pw *= n - l
+            pw, m = f[n - l], n - l
+            for j in range(l * (r + 1), (l + 1) * (r + 1)):
+                row[j] = pw
+                pw *= m
         rows.append(row)
-    int_rows = [_row_scale_int(row) for row in rows]
-    basis = nullspace_modular(int_rows, unknowns)
+    basis = nullspace_modular(rows, unknowns)
     if not basis:
         return None
     if len(basis) > 1:
@@ -478,7 +466,7 @@ def _jets(op: ThetaOperator, n_max: int, width: int) -> list[list[Fraction]]:
     by forward substitution in eps.
     """
     taylor = [
-        [[comb(k, i) * int(c) for k, c in enumerate(row)][i:] for i in range(width)]
+        [[comb(k, i) * c for k, c in enumerate(row)][i:] for i in range(width)]
         for row in op.p
     ]
 
@@ -630,7 +618,7 @@ def yukawa(op: ThetaOperator, n_max: int, depth: int | None = None,
                 if mu:
                     acc += mu * kq[k // d]
         inst.append(acc / k ** 3)
-    s = lcm(*(nk.denominator for nk in inst))
+    _, s = _numerators(inst)
     return YukawaData(
         q_coeffs=tuple(qz.coeffs[1:]),
         z_coeffs=tuple(zq.coeffs[1:]),
@@ -643,17 +631,7 @@ def yukawa(op: ThetaOperator, n_max: int, depth: int | None = None,
 
 def moebius_pullback(f: PowerSeries, a) -> PowerSeries:
     """g(z) = f(z/(1-az))/(1-az):  g_n = sum_j C(n,j) a^(n-j) f_j."""
-    a = Q(a)
-    n = f.order
-    out = []
-    for m in range(n + 1):
-        acc = Q(0)
-        for j in range(m + 1):
-            fj = f[j]
-            if fj:
-                acc += comb(m, j) * a ** (m - j) * fj
-        out.append(acc)
-    return PowerSeries(out)
+    return PowerSeries(binomial_transform(f.coeffs, Q(a)))
 
 
 # -- the five structure conditions -------------------------------------------
@@ -697,7 +675,7 @@ def cy_conditions_report(op: ThetaOperator, n_max: int) -> list[ConditionReport]
     depth = max(4, n_max // 4)
     yk = yukawa(op, n_max, depth=depth)
     half = yk.instantons[: max(2, depth // 2)]
-    s_half = lcm(*(nk.denominator for nk in half))
+    _, s_half = _numerators(half)
     stable = s_half == yk.s
     out.append(ConditionReport(
         "five: integral instanton numbers", stable,

@@ -9,8 +9,10 @@ Wronskian identities.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as igcd
+from math import gcd
 from typing import Sequence
+
+from .series import _numerators
 
 Q = Fraction
 
@@ -141,21 +143,6 @@ class Poly:
         inv = 1 / self.lead
         return Poly([c * inv for c in self.coeffs])
 
-    def integer_primitive(self) -> tuple["Poly", Fraction]:
-        """(primitive integer polynomial with positive lead, content)."""
-        if not self:
-            return self, Q(1)
-        den = 1
-        for c in self.coeffs:
-            den = den * c.denominator // igcd(den, c.denominator)
-        ints = [int(c * den) for c in self.coeffs]
-        g = 0
-        for v in ints:
-            g = igcd(g, abs(v))
-        if ints[-1] < 0:
-            g = -g
-        return Poly([v // g for v in ints]), Q(g, den)
-
     def __repr__(self):
         if not self:
             return "Poly(0)"
@@ -173,26 +160,21 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def rational_roots(p: Poly) -> tuple[list[Fraction], Poly]:
-    """All rational roots with multiplicity, plus the root-free cofactor."""
+    """All rational roots with multiplicity, plus the root-free cofactor:
+    p divided by x^v and by the monic linear factor of each nonzero root.
+    Candidates a/b come from the primitive integer form of what is left:
+    a divides its constant coefficient and b its leading one."""
     if not p:
         raise ValueError("zero polynomial")
-    ip, _ = p.integer_primitive()
-    roots: list[Fraction] = []
-    # strip x^v
-    v = 0
-    cs = list(ip.coeffs)
-    while cs and cs[0] == 0:
-        cs.pop(0)
-        v += 1
-    roots.extend([Q(0)] * v)
-    cur = Poly(cs)
+    v = next(i for i, c in enumerate(p.coeffs) if c)
+    roots = [Q(0)] * v
+    cur = Poly(p.coeffs[v:])
     while cur.degree >= 1:
-        ic, _ = cur.integer_primitive()
-        a0 = int(ic.coeffs[0])
-        an = int(ic.coeffs[-1])
+        ints, _ = _numerators(cur.coeffs)
+        g = gcd(*ints)
         found = None
-        for num in _divisors(abs(a0)):
-            for den in _divisors(abs(an)):
+        for num in _divisors(abs(ints[0]) // g):
+            for den in _divisors(abs(ints[-1]) // g):
                 for s in (1, -1):
                     cand = Q(s * num, den)
                     if cur(cand) == 0:

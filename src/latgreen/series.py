@@ -7,11 +7,16 @@ never pretends to know more than it does: the product of series valid
 to orders N1 and N2 is valid to min(N1, N2), and that is the order of
 the result.
 
-Products put each factor over the least common denominator of its
-coefficients, convolve the integer numerators and build one Fraction
-per output coefficient.  compose is Horner evaluation truncated to the
-orders that reach the result, and reversion is Lagrange inversion whose
-result is checked by composing it back.
+_numerators, which puts a sequence of rationals over their least
+common denominator, is the package's one place that clears
+denominators: products convolve the integer numerators of each factor
+and build one Fraction per output coefficient, operator fits build
+integer rows from them, and a primitive integer vector is _numerators
+followed by one gcd.  binomial_transform is the weight-w binomial
+transform shared by the lattice tables and the Moebius pull-back.
+compose is Horner evaluation truncated to the orders that reach the
+result, and reversion is Lagrange inversion whose result is checked by
+composing it back.
 
 A LogSeries represents sum_j f_j(z) log(z)^j / j! with PowerSeries
 parts f_j.  This is the normalization in which a Frobenius basis at a
@@ -45,10 +50,22 @@ def _q(x: Scalar) -> Fraction:
     return Fraction(x)
 
 
-def _numerators(cs: Sequence[Fraction]) -> tuple[list[int], int]:
+def _numerators(cs: Sequence[Scalar]) -> tuple[list[int], int]:
     """Integer numerators of cs over their least common denominator."""
     d = lcm(*(c.denominator for c in cs))
     return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def binomial_transform(f: Sequence[Scalar], w: Scalar) -> list[Scalar]:
+    """g_n = sum_j C(n,j) w^(n-j) f_j for n < len(f): the coefficients of
+    f(z/(1-wz))/(1-wz).  Row k of the difference triangle holds
+    r_k(j) = sum_i C(k,i) w^(k-i) f_(j+i); r_(k+1)(j) = r_k(j+1) + w r_k(j),
+    and g_n = r_n(0)."""
+    row, out = list(f), []
+    while row:
+        out.append(row[0])
+        row = [b + w * a for a, b in zip(row, row[1:])]
+    return out
 
 
 class PowerSeries:

@@ -754,5 +754,5 @@ class TestMahlerMeasure:
             log_mahler_measure({(1,): 1, (0, 0): 1}, 15)
         with pytest.raises(DomainError):
             log_mahler_measure({(1, 2, 3): 1}, 15)
-        with pytest.raises(DomainError):
+        with pytest.raises(TypeError):
             log_mahler_measure({(1,): 1}, 15, method="monte-carlo")

@@ -409,6 +409,10 @@ class TestRunner:
         # sc d = 6 to 798 steps walks to power 399: billions of CT classes
         (["coeffs", "--family", "sc", "--dim", "6", "--method", "ct", "--terms", "400"],
          LIMIT, "ResourceLimit"),
+        # bcc d = 2 to 10^4 steps: 3.1 10^6 classes, under the class budget,
+        # but 6.3 10^10 units of walk work, some hours if not refused
+        (["coeffs", "--family", "bcc", "--dim", "2", "--method", "ct", "--terms", "5000"],
+         LIMIT, "ResourceLimit"),
         # the bcc z = 1 terms come without a table, but not without the cap
         (["eval", "lgf", "--family", "bcc", "--dim", "4", "--z", "1",
           "--terms", "10000000"], LIMIT, "ResourceLimit"),

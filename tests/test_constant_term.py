@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from latgreen import constant_term
 from latgreen.constant_term import (
+    CT_WORK_CAP,
     DEFAULT_BUDGET,
     KernelSpec,
     LaurentPoly,
@@ -169,11 +170,17 @@ def test_class_bound_refuses_before_work():
     start = time.perf_counter()
     with pytest.raises(ResourceLimit, match="class bound"):
         ct_series(kernel("sc", 6), 399)
+    # few classes, but hours of walk work
+    with pytest.raises(ResourceLimit, match="work cap"):
+        ct_series(kernel("bcc", 2), 5000)
     assert time.perf_counter() - start < 2
     # the largest requests of the tests and the benchmark are admitted
     for family, d, n in [("diamond", 5, 20), ("bcc", 5, 20), ("sc", 2, 30), ("bcc", 6, 8)]:
-        p = LatticeSpec(family, d).powers_per_index
-        assert class_bound(kernel(family, d), (p * n + 1) // 2, DEFAULT_BUDGET) <= DEFAULT_BUDGET
+        ks, p = kernel(family, d), LatticeSpec(family, d).powers_per_index
+        half = (p * n + 1) // 2
+        classes = class_bound(ks, half, DEFAULT_BUDGET)
+        assert classes <= DEFAULT_BUDGET
+        assert half * classes * len(ks.kernel.terms) <= CT_WORK_CAP
 
 
 def test_ct_power_matches_sequence():

@@ -94,6 +94,15 @@ def test_rational_roots():
     assert cofactor.monic() == x ** 2 + 1
 
 
+def test_rational_roots_fraction_coefficients_negative_lead():
+    x = Poly.x()
+    p = x * (x - Q(2, 3)) * (x + Q(5, 2)) ** 2 * (x ** 2 + 2) * Q(-7, 4)
+    assert p.lead < 0 and any(c.denominator > 1 for c in p.coeffs)
+    roots, cofactor = rational_roots(p)
+    assert roots == [Q(-5, 2), Q(-5, 2), Q(0), Q(2, 3)]
+    assert cofactor.monic() == x ** 2 + 2
+
+
 def test_ratfunc_identities():
     x = RatFunc.x()
     f = 1 / x + 1 / (2 * (x - 1))

@@ -88,6 +88,11 @@ def test_operator_normalization():
     assert a == b
     c = ThetaOperator([[0, -2], [-6]])
     assert c == b
+    # common factor 2/9 and a negative first nonzero entry: primitive int rows
+    op = ThetaOperator([[0, Q(-4, 3), Q(2, 9)], [Q(8, 3), 0, Q(-10, 9)]])
+    assert op.p == ((0, 6, -1), (-12, 0, 5))
+    assert all(type(c) is int for row in op.p for c in row)
+    assert write_operator(op) == "0 : 0 6 -1\n1 : -12 0 5\n"
 
 
 def test_registry_names_and_unknown():
@@ -179,6 +184,17 @@ def test_fit_sc5():
     assert op.order == 5 and op.degree == 3
     assert op.is_mum()
     assert op.annihilates(series).passed
+
+
+def test_fit_ignores_the_series_denominator():
+    s = raw_series("bcc4")
+    assert fit_ode(s * Q(5, 7), 4, 1) == fit_ode(s, 4, 1) == registry("bcc4")
+    # 1/sqrt((1 - z/3)(1 - 13z/3)): coefficient n has denominator 3^n
+    g = moebius_pullback(catalan_power(1, 30), Q(1, 3))
+    assert len({c.denominator for c in g.coeffs}) == 31
+    op = fit_ode(g, 1, 2)
+    assert op is not None and op.annihilates(g).passed
+    assert fit_ode(g * Q(5, 7), 1, 2) == op
 
 
 def test_fit_insufficient_terms():

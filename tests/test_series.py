@@ -1,11 +1,12 @@
 """Exactness and algebra checks for the series layer."""
 
 from fractions import Fraction as Q
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latgreen.series import LogSeries, PowerSeries
+from latgreen.series import LogSeries, PowerSeries, binomial_transform
 from latgreen.errors import BadConstantTerm, NotReversible, ZeroConstantTerm
 
 
@@ -203,6 +204,17 @@ class TestKernelsAgainstLiteral:
         assert b.order == a.order
         assert a.compose(b) == q
         assert b.compose(a) == q
+
+
+def test_binomial_transform_is_the_sum():
+    # the defining sum, term by term, at a Fraction weight
+    f = [Q((-1) ** n, n + 1) for n in range(25)] + [Q(0), Q(7, 3)]
+    w = Q(-5, 7)
+    expect = [sum(comb(n, j) * w ** (n - j) * f[j] for j in range(n + 1))
+              for n in range(len(f))]
+    assert binomial_transform(f, w) == expect
+    assert binomial_transform([3, 1, 4], 0) == [3, 1, 4]
+    assert binomial_transform([], w) == []
 
 
 class TestProperties:
