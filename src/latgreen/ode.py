@@ -11,15 +11,16 @@ An operator stores its rows as primitive integers, and a fit builds
 its linear system from the integer numerators of the series over their
 common denominator; both clear denominators through series._numerators.
 
-The Frobenius machinery works at a MUM point by running the coefficient
-recurrence over truncated jets in the local exponent eps (`_jets`): each
-P_l is expanded once into integer Taylor rows, read at the integer
-n - l by scalar Horner, and a_n is solved from P_0(n + eps) by forward
-substitution.  The jet coefficients are exactly the log-part series of
-the basis
+Each P_l is expanded once into integer Taylor rows T_{l,i} = P_l^(i)/i!
+(`_TaylorRows`), read at the integer n - l by scalar Horner, and every
+operator action reads them: `apply` and `annihilates` evaluate
+sum_l P_l(n - l + eps) a_(n-l) on the integer numerators of a series'
+log parts, and at a MUM point `frobenius` and `series_solution` solve
+the same sum for a_n from P_0(n + eps) by forward substitution in the
+local exponent eps (`_jets`).  The jet coefficients are exactly the
+log-part series of the basis
     y_j = sum_{m<=j} A_{j-m} log(z)^m / m!,
-which is the layout LogSeries stores; `series_solution` is the same
-recurrence at jet width 1.  The Yukawa coupling, instanton
+which is the layout LogSeries stores.  The Yukawa coupling, instanton
 inversion, the five Calabi-Yau structure conditions, the Appell
 symmetric-square test and the fifth-order Wronskian chain all sit on
 top of that basis.
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, gcd
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import (
     FitFailure,
@@ -97,6 +98,8 @@ class ThetaOperator:
         g = gcd(*ints)
         if g == 0:
             raise ValueError("zero operator")
+        if not any(ints[:width]):
+            raise ValueError("P_0 is zero")
         if next(c for c in ints if c) < 0:
             g = -g
         self.p: tuple[tuple[int, ...], ...] = tuple(
@@ -129,35 +132,17 @@ class ThetaOperator:
     # -- action on series ----------------------------------------------------
 
     def apply(self, f: "LogSeries | PowerSeries") -> LogSeries:
-        if isinstance(f, PowerSeries):
-            f = LogSeries.from_power_series(f)
-        thetas = [f]
-        for _ in range(self.order):
-            thetas.append(thetas[-1].theta())
-        acc: LogSeries | None = None
-        for l, row in enumerate(self.p):
-            term: LogSeries | None = None
-            for j, c in enumerate(row):
-                if c == 0:
-                    continue
-                t = thetas[j] * c
-                term = t if term is None else term + t
-            if term is None:
-                continue
-            term = term.shift(l)
-            acc = term if acc is None else acc + term
-        assert acc is not None
-        return acc
+        d, jets = _action(self, f)
+        cols = list(zip(*jets))  # cols[i] is output part J - i
+        return LogSeries([PowerSeries([Q(c, d) for c in col]) for col in reversed(cols)])
 
     def annihilates(self, f: "LogSeries | PowerSeries") -> VerifyReport:
-        out = self.apply(f)
-        n = out.order
-        for i in range(n + 1):
-            for part in out.parts:
-                if part[i] != 0:
-                    return VerifyReport(False, n, first_mismatch=i,
-                                        note="first nonzero output coefficient")
-        return VerifyReport(True, n)
+        _, jets = _action(self, f)
+        for n, s in enumerate(jets):
+            if any(s):
+                return VerifyReport(False, f.order, first_mismatch=n,
+                                    note="first nonzero output coefficient")
+        return VerifyReport(True, f.order)
 
     def is_mum(self) -> bool:
         """P_0 proportional to theta^order."""
@@ -351,6 +336,8 @@ def parse_operator(text: str, note: str = "") -> ThetaOperator:
             continue
         head, _, body = line.partition(":")
         l = int(head.strip())
+        if l in rows:
+            raise ValueError(f"line l = {l} appears twice")
         rows[l] = [Q(tok) for tok in body.split()]
     if not rows or min(rows) != 0:
         raise ValueError("operator file must contain lines l : c_0 ... starting at l=0")
@@ -452,41 +439,69 @@ def indicial(op: ThetaOperator) -> IndicialReport:
     )
 
 
-# -- Frobenius basis via eps-jets --------------------------------------------
+# -- Taylor rows: operator action and Frobenius jets -------------------------
 
 
-def _jets(op: ThetaOperator, n_max: int, width: int) -> list[list[Fraction]]:
-    """a_0 .. a_{n_max} of y = sum_n a_n z^(n+eps), a_0 = 1, as jets in eps
-    truncated at eps^width.
+class _TaylorRows:
+    """The Taylor rows T_{l,i} = P_l^(i)/i!, i < width, of each P_l: integer
+    polynomials with P_l(m + eps) = sum_i T_{l,i}(m) eps^i, expanded once
+    and read at an integer m by one scalar Horner per row."""
 
-    Each P_l is expanded once into its Taylor rows T_{l,i} = P_l^(i)/i!,
-    integer polynomials, so P_l(m + eps) = sum_i T_{l,i}(m) eps^i costs one
-    scalar Horner per row at the integer m.  The recurrence
-    P_0(n + eps) a_n = -sum_{l>=1} P_l(n - l + eps) a_{n-l} is then solved
-    by forward substitution in eps.
-    """
-    taylor = [
-        [[comb(k, i) * c for k, c in enumerate(row)][i:] for i in range(width)]
-        for row in op.p
-    ]
+    __slots__ = ("rows",)
 
-    def at(l: int, m: int) -> list[int]:
+    def __init__(self, op: ThetaOperator, width: int):
+        self.rows = [
+            [[comb(k, i) * c for k, c in enumerate(row)][i:] for i in range(width)]
+            for row in op.p
+        ]
+
+    def at(self, l: int, m: int) -> list[int]:
+        """P_l(m + eps) mod eps^width."""
         out = []
-        for coeffs in taylor[l]:
+        for coeffs in self.rows[l]:
             acc = 0
             for c in reversed(coeffs):
                 acc = acc * m + c
             out.append(acc)
         return out
 
+    def act(self, jets: Sequence[Sequence], n: int, lo: int, s: list) -> list:
+        """s plus sum_{l=lo}^{min(n,k)} P_l(n - l + eps) jets[n - l] mod eps^width."""
+        for l in range(lo, min(n, len(self.rows) - 1) + 1):
+            t, a = self.at(l, n - l), jets[n - l]
+            for i in range(len(s)):
+                s[i] += sum(t[i - j] * a[j] for j in range(i + 1) if t[i - j])
+        return s
+
+
+def _action(op: ThetaOperator,
+            f: "LogSeries | PowerSeries") -> tuple[int, Iterator[list[int]]]:
+    """op f as (d, jets), jets yielding for n = 0 .. f.order the integer
+    numerators over d of output parts J, .., 0 at z^n (J = f's log degree).
+
+    theta acts on part m as theta f_m + f_(m+1), so P(theta) f has part m
+    sum_k T_k(theta) f_(m+k): with the input read as the jet
+    a[i] = part_(J-i)[n], op f is _jets's sum with l = 0 included.
+    """
+    parts = f.parts if isinstance(f, LogSeries) else (f,)
+    nums, d = _numerators([c for p in parts for c in p.coeffs])
+    size, width = len(parts[0].coeffs), len(parts)
+    jets = [nums[n::size][::-1] for n in range(size)]
+    rows = _TaylorRows(op, width)
+    return d, (rows.act(jets, n, 0, [0] * width) for n in range(size))
+
+
+def _jets(op: ThetaOperator, n_max: int, width: int) -> list[list[Fraction]]:
+    """a_0 .. a_{n_max} of y = sum_n a_n z^(n+eps), a_0 = 1, as jets in eps
+    truncated at eps^width: the recurrence
+    P_0(n + eps) a_n = -sum_{l>=1} P_l(n - l + eps) a_{n-l}, read from the
+    Taylor rows and solved by forward substitution in eps.
+    """
+    rows = _TaylorRows(op, width)
     jets = [[Q(1)] + [Q(0)] * (width - 1)]
     for n in range(1, n_max + 1):
-        s = [Q(0)] * width
-        for l in range(1, min(n, op.degree) + 1):
-            t, a = at(l, n - l), jets[n - l]
-            for i in range(width):
-                s[i] += sum(t[i - j] * a[j] for j in range(i + 1) if t[i - j])
-        q = at(0, n)  # = lead*(n+eps)^r at a MUM point, invertible for n >= 1
+        s = rows.act(jets, n, 1, [Q(0)] * width)
+        q = rows.at(0, n)  # = lead*(n+eps)^r at a MUM point, invertible for n >= 1
         a_n: list[Fraction] = []
         for i in range(width):
             acc = s[i] + sum(q[i - j] * a_n[j] for j in range(i) if q[i - j])

@@ -29,7 +29,7 @@ f_{j+1}, which is all the ODE machinery needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -337,10 +337,6 @@ class LogSeries:
             ps.pop()
         self.parts: tuple[PowerSeries, ...] = tuple(ps)
 
-    @staticmethod
-    def from_power_series(p: PowerSeries) -> "LogSeries":
-        return LogSeries([p])
-
     @property
     def order(self) -> int:
         return self.parts[0].order
@@ -370,13 +366,7 @@ class LogSeries:
 
     def __add__(self, other: "LogSeries") -> "LogSeries":
         m = max(len(self.parts), len(other.parts))
-        n = min(self.order, other.order)
-        parts = []
-        for j in range(m):
-            a = self.part(j).truncate(n) if self.part(j).order > n else self.part(j)
-            b = other.part(j).truncate(n) if other.part(j).order > n else other.part(j)
-            parts.append(a + b)
-        return LogSeries(parts)
+        return LogSeries([self.part(j) + other.part(j) for j in range(m)])
 
     def __neg__(self) -> "LogSeries":
         return LogSeries([-p for p in self.parts])
@@ -393,8 +383,6 @@ class LogSeries:
         if isinstance(other, PowerSeries):
             other = LogSeries([other])
         # (sum f_j L^j/j!)(sum g_k L^k/k!) : part m = sum_{j+k=m} C(m,j) f_j g_k
-        from math import comb
-
         parts = []
         top = self.log_degree + other.log_degree
         for m in range(top + 1):
@@ -421,11 +409,6 @@ class LogSeries:
                 p = p + self.parts[j + 1]
             parts.append(p)
         return LogSeries(parts)
-
-    def shift(self, l: int) -> "LogSeries":
-        """Multiply by z^l; every part shifts, truncated back to a common order."""
-        shifted = [p.shift(l) for p in self.parts]
-        return LogSeries([PowerSeries(s.coeffs[: self.order + 1]) for s in shifted])
 
     def truncate(self, order: int) -> "LogSeries":
         return LogSeries([p.truncate(order) for p in self.parts])

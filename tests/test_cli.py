@@ -433,6 +433,23 @@ class TestRunner:
         assert doc["error"]["type"] == error
         assert doc["error"]["message"]
 
+    @pytest.mark.parametrize("text,message", [
+        pytest.param("0 : 0\n1 : 1 1\n", "P_0 is zero", id="zero-p0"),
+        pytest.param("0 : 0 0 1\n0 : 0 1\n", "l = 0 appears twice", id="repeated-l"),
+    ])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["cy-report"], id="cy-report"),
+        pytest.param(["verify", "--family", "bcc", "--dim", "2", "--terms", "10"],
+                     id="verify")])
+    def test_bad_operator_file(self, capsys, tmp_path, argv, text, message):
+        path = tmp_path / "op.txt"
+        path.write_text(text)
+        got, doc = run_json(capsys, "ode", *argv, "--op-file", str(path))
+        assert got == USAGE
+        assert doc["passed"] is False
+        assert doc["error"]["type"] == "UsageExit"
+        assert message in doc["error"]["message"]
+
     def test_inputs_echo_every_flag(self, capsys):
         _, doc = run_json(capsys, "ode", "fit", "--family", "square", "--dim", "2",
                           "--order", "2", "--degree", "1", "--terms", "30")

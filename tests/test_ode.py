@@ -43,7 +43,7 @@ from latgreen.ode import (
     yukawa,
 )
 from latgreen.ratfunc import Poly, RatFunc
-from latgreen.series import PowerSeries
+from latgreen.series import LogSeries, PowerSeries
 
 
 def catalan_power(d, n_max):
@@ -79,6 +79,91 @@ def test_theta_on_monomial():
         op = ThetaOperator([[-n, 1]])
         zn = z.pow(n)
         assert op.apply(zn).is_zero()
+
+
+def theta_power_apply(op, f):
+    """op f from the definition, an oracle independent of the Taylor rows:
+    the theta powers of f as LogSeries, scaled by the entries of P_l,
+    shifted by z^l and summed in Fraction arithmetic."""
+    if isinstance(f, PowerSeries):
+        f = LogSeries([f])
+    thetas = [f]
+    for _ in range(op.order):
+        thetas.append(thetas[-1].theta())
+    n = f.order
+    acc = LogSeries([PowerSeries.zero(n)])
+    for l, row in enumerate(op.p):
+        for j, c in enumerate(row):
+            if c:
+                acc = acc + LogSeries([p.shift(l).truncate(n) * c for p in thetas[j].parts])
+    return acc
+
+
+def first_nonzero(out):
+    return next((n for n in range(out.order + 1) if any(p[n] for p in out.parts)), None)
+
+
+NON_MUM = ThetaOperator([[0, 0, 1, -2, 1], [1], [Q(-3, 5), 0, 2]])
+
+
+def three_part_log_series(order):
+    return LogSeries([
+        PowerSeries([Q((-1) ** n * (n * n + 3), 2 * n + 1) for n in range(order + 1)]),
+        PowerSeries([Q(7, n + 2) for n in range(order + 1)]),
+        PowerSeries([Q(n - 4, 3 ** n) for n in range(order + 1)]),
+    ])
+
+
+@pytest.mark.parametrize("name", [n for n in registry_names() if n != "iwan<d>"]
+                         + ["iwan1", "iwan3", "iwan6"])
+def test_apply_matches_theta_powers_on_frobenius_basis(name):
+    op = registry(name)
+    for yj in frobenius(op, 24):
+        assert op.apply(yj) == theta_power_apply(op, yj)
+        # a basis element with one coefficient of its top part moved
+        bumped = LogSeries(list(yj.parts[:-1]) + [yj.parts[-1] + PowerSeries(
+            [0] * 11 + [Q(2, 9)], order=24)])
+        assert op.apply(bumped) == theta_power_apply(op, bumped)
+
+
+@pytest.mark.parametrize("op", [registry("sc4"), registry("apery-zeta3"), NON_MUM,
+                                ThetaOperator([[Q(1, 2), 0, -3], [0, 1]])])
+def test_apply_matches_theta_powers_on_log_series(op):
+    f = three_part_log_series(20)
+    out = op.apply(f)
+    assert out == theta_power_apply(op, f)
+    assert out.log_degree == 2 and out.order == 20
+    # a PowerSeries counts as one part
+    assert op.apply(f.part(0)) == theta_power_apply(op, f.part(0))
+    g = frobenius(registry("sc4"), 16)[3]
+    assert op.apply(g) == theta_power_apply(op, g)
+
+
+@pytest.mark.parametrize("f", [
+    PowerSeries([Q(3, 4)], order=0),
+    three_part_log_series(0),
+    LogSeries([PowerSeries.zero(5), PowerSeries.one(5)]),
+])
+def test_apply_short_and_zero_inputs(f):
+    for op in (registry("bcc4"), NON_MUM):
+        assert op.apply(f) == theta_power_apply(op, f)
+
+
+def test_annihilates_reports_first_mismatch():
+    op = registry("sc3")
+    table = list(raw_series("sc3").coeffs)
+    for k in (1, 17, 40):
+        bad = PowerSeries(table[:k] + [table[k] + 1] + table[k + 1:])
+        rep = op.annihilates(bad)
+        assert not rep.passed
+        assert (rep.first_mismatch, rep.checked_through) == (
+            first_nonzero(theta_power_apply(op, bad)), 40) == (k, 40)
+    f = three_part_log_series(12)
+    rep = NON_MUM.annihilates(f)
+    assert (rep.passed, rep.first_mismatch, rep.checked_through) == (
+        False, first_nonzero(theta_power_apply(NON_MUM, f)), 12)
+    rep = op.annihilates(raw_series("sc3") * Q(5, 7))
+    assert (rep.passed, rep.first_mismatch, rep.checked_through) == (True, None, 40)
 
 
 def test_operator_normalization():
@@ -154,6 +239,23 @@ def test_exchange_format_round_trip():
     # comments and blank lines are tolerated
     noisy = "# annihilator\n\n" + text + "\n# end\n"
     assert parse_operator(noisy) == op
+
+
+def test_zero_p0_rejected():
+    # z (theta + 1): a zero P_0 leaves no indicial polynomial at 0
+    with pytest.raises(ValueError, match="P_0"):
+        ThetaOperator([[0], [1, 1]])
+    with pytest.raises(ValueError, match="P_0"):
+        parse_operator("0 : 0\n1 : 1 1\n")
+    with pytest.raises(ValueError, match="zero operator"):
+        ThetaOperator([[0, 0], [0]])
+
+
+def test_exchange_format_repeated_line_rejected():
+    with pytest.raises(ValueError, match="twice"):
+        parse_operator("0 : 0 0 1\n0 : 0 1\n")
+    with pytest.raises(ValueError, match="twice"):
+        parse_operator("0 : 0 1\n1 : 2\n# again\n1 : 3\n")
 
 
 def test_exchange_format_rational_entries():

@@ -256,6 +256,14 @@ class TestLogSeries:
         assert tF.part(1) == z
         assert tF.part(0) == z
 
+    def test_sum_truncates_to_common_order(self):
+        f = LogSeries([PowerSeries([1, 2, 3, 4]), PowerSeries([5, 6, 7, 8])])
+        g = LogSeries([PowerSeries([Q(1, 2), 1, 1])])
+        h = f + g
+        assert h == LogSeries([PowerSeries([Q(3, 2), 3, 4]), PowerSeries([5, 6, 7])])
+        assert h.order == 2 and g + f == h
+        assert (f - f).is_zero() and (f - f).log_degree == 0
+
     def test_product_binomial_structure(self):
         # (log z)^2/2! appears when multiplying log z by log z
         order = 4
