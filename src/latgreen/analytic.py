@@ -8,6 +8,12 @@ error estimate instead.  Every pass/fail gate (the Bessel and Abel
 identities, the Ramanujan general form, the convention resolution) is
 that contract, applied by one helper, _contract_check.
 
+Every complete elliptic integral (the Watson constants, the printed
+closed forms, the 2F1(1/2, 1/2; 1; m) of the algebraic diamond form and
+the 4d double elliptic integral) is (2/pi) K(m) from one function,
+two_over_pi_K, by mpmath's AGM.  Every lattice series at |z| < 1 (the
+honeycomb maps and the series sides of the Bessel and Abel identities)
+is summed by lgf_series_eval, whose term count follows prec and |z|.
 Every hypergeometric-type sum (pFq, and the hyper-bcc P(0;1)) takes its
 terms from one generator, _hyper_terms, with integer term ratios.  The
 half-circle integrals (Abel, Bessel connection, 4d double elliptic) are
@@ -19,7 +25,8 @@ integrals stay on mp.quad.
 Elliptic-argument conventions are a minefield: the source formulas write
 K(k) in some places and feed k^2-type expressions in others.  Every
 formula with an ambiguous argument is resolved *empirically* against the
-exact lattice series (convention_report below), never assumed.
+exact lattice series (convention_report below), never assumed; the
+resolved convention is applied in one place, _ambiguous_value.
 """
 
 from __future__ import annotations
@@ -72,74 +79,19 @@ def _contract_check(lhs, rhs, prec: int) -> IdentityCheck:
 # -- elliptic integrals -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EllipticArg:
-    """Argument of K with its convention made explicit.
+def two_over_pi_K(m, prec: int = 50):
+    """(2/pi) K(m) = 2F1(1/2, 1/2; 1; m), the complete elliptic integral
+    of the first kind at parameter m = k^2 scaled to 1 at m = 0.
 
-    convention "modulus" means value = k, "parameter" means value = m = k^2.
-    """
-
-    value: object
-    convention: str
-
-    def __post_init__(self):
-        if self.convention not in ("modulus", "parameter"):
-            raise ValueError(f"unknown convention {self.convention!r}")
-
-    @staticmethod
-    def modulus(k) -> "EllipticArg":
-        return EllipticArg(k, "modulus")
-
-    @staticmethod
-    def parameter(m) -> "EllipticArg":
-        return EllipticArg(m, "parameter")
-
-    def parameter_value(self):
-        v = mp.mpf(self.value) if not isinstance(self.value, mp.mpf) else self.value
-        return v * v if self.convention == "modulus" else v
-
-
-def agm(a, b):
-    """Arithmetic-geometric mean at the current mpmath precision.
-
-    Quadratic convergence; iterate until the pair coincides to working
-    precision.  Both arguments must be positive.
-    """
-    a = mp.mpf(a)
-    b = mp.mpf(b)
-    if a <= 0 or b <= 0:
-        raise ValueError("agm needs positive arguments")
-    eps = mp.mpf(2) ** (-mp.mp.prec + 4)
-    while abs(a - b) > eps * a:
-        a, b = (a + b) / 2, mp.sqrt(a * b)
-    return (a + b) / 2
-
-
-def elliptic_K(arg: EllipticArg, prec: int = 50):
-    """Complete elliptic integral of the first kind by the AGM.
-
-    K(m) = pi / (2 agm(1, sqrt(1-m))).  Quadratic convergence, so the
-    guard digits comfortably absorb the final rounding.
+    It is 1/agm(1, sqrt(1 - m)); mpmath's AGM converges quadratically, so
+    the guard digits absorb the final rounding.  Every elliptic value in
+    this module is a product of these.
     """
     with mp.workdps(_dps(prec)):
-        m = arg.parameter_value()
+        m = mp.mpf(m)
         if m >= 1:
             raise DomainError(f"parameter m = {m} >= 1: real K branch only")
-        return mp.pi / (2 * agm(mp.mpf(1), mp.sqrt(1 - m)))
-
-
-def gamma_rational(x, prec: int = 50):
-    """Gamma at a positive rational, via mpmath's gamma with guard digits.
-
-    mpmath evaluates to full working precision, so the error is below
-    10**(2-prec); the test suite pins this against an independent
-    Euler-integral quadrature oracle.
-    """
-    x = Q(x)
-    if x <= 0:
-        raise DomainError("positive rational arguments only")
-    with mp.workdps(_dps(prec)):
-        return mp.gamma(mp.mpf(x.numerator) / x.denominator)
+        return 1 / mp.agm(1, mp.sqrt(1 - m))
 
 
 # -- series evaluation --------------------------------------------------------
@@ -276,10 +228,6 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
         return EvalResult(value, err, terms)
 
 
-def _series_value(spec: LatticeSpec, z, prec: int, terms: int | None = None):
-    return lgf_series_eval(spec, z, prec, terms).value
-
-
 # -- generalized hypergeometric summation -------------------------------------
 
 
@@ -329,15 +277,15 @@ _WATSON = ("diamond", "sc", "bcc", "fcc")
 def watson(lattice3d: str, prec: int = 50):
     """The 3d P(0;1) constants as complete elliptic integrals, by the AGM.
 
-    All four are K at singular moduli, and (2/pi) K(m) = 1/agm(1, sqrt(1-m)):
+    All four are K at singular moduli; with K^ = (2/pi) K (two_over_pi_K):
 
-    - sc: (12/pi^2)(18 + 12 sqrt2 - 10 sqrt3 - 7 sqrt6) K(k6)^2 with
+    - sc: 3(18 + 12 sqrt2 - 10 sqrt3 - 7 sqrt6) K^(k6^2)^2 with
       k6 = (2 - sqrt3)(sqrt3 - sqrt2) (Watson);
-    - bcc: 2/agm(1, sqrt2)^2, which is Gamma(1/4)^4/(4 pi^3) by
-      Gamma(1/4)^2 = (2 pi)^(3/2)/agm(1, sqrt2);
-    - fcc: 3 sqrt3 K(k3)^2/pi^2 with k3^2 = (2 - sqrt3)/4, which is
+    - bcc: K^(1/2)^2, which is Gamma(1/4)^4/(4 pi^3) by
+      K(1/2) = Gamma(1/4)^2/(4 sqrt(pi));
+    - fcc: (3 sqrt3/4) K^(k3^2)^2 with k3^2 = (2 - sqrt3)/4, which is
       9 Gamma(1/3)^6/(2^(14/3) pi^4) by
-      K(k3) = 3^(1/4) Gamma(1/3)^3/(2^(7/3) pi);
+      K(k3^2) = 3^(1/4) Gamma(1/3)^3/(2^(7/3) pi);
     - diamond: exactly (4/3) fcc.
 
     No Gamma value is computed, so high precision costs only the AGM.
@@ -350,10 +298,10 @@ def watson(lattice3d: str, prec: int = 50):
         if lattice3d == "sc":
             k6 = (2 - r3) * (r3 - r2)
             c = 18 + 12 * r2 - 10 * r3 - 7 * r2 * r3
-            return 3 * c * _K2(k6 ** 2, prec) ** 2
+            return 3 * c * two_over_pi_K(k6 ** 2, prec) ** 2
         if lattice3d == "bcc":
-            return 2 / agm(1, r2) ** 2
-        fcc = 3 * r3 / 4 * _K2((2 - r3) / 4, prec) ** 2
+            return two_over_pi_K(mp.mpf(1) / 2, prec) ** 2
+        fcc = 3 * r3 / 4 * two_over_pi_K((2 - r3) / 4, prec) ** 2
         return fcc * 4 / 3 if lattice3d == "diamond" else fcc
 
 
@@ -370,33 +318,20 @@ CLOSED_FORM_IDS = (
 _CONVENTION: dict[str, str] = {}
 
 
-def _K2(m, prec):
-    # (2/pi) K(parameter m), the combination every closed form uses
-    return elliptic_K(EllipticArg.parameter(m), prec) * 2 / mp.pi
-
-
-def _honeycomb_value(z, prec, convention):
-    z = mp.mpf(z)
-    pre = 6 * mp.sqrt(3) / (mp.pi * (3 - z) * mp.sqrt((3 - z) * (1 + z)))
+def _honeycomb_form(z):
     k = 4 * z ** 2 / ((3 - z) * mp.sqrt(z * (3 - z) * (1 + z)))
-    m = k ** 2 if convention == "modulus" else k
-    return pre * mp.pi / 2 * _K2(m, prec)
+    return 3 * mp.sqrt(3) / ((3 - z) * mp.sqrt((3 - z) * (1 + z))), k
 
 
-def _square_value(z, prec, convention):
-    z = mp.mpf(z)
-    m = z ** 2 if convention == "modulus" else z
-    return _K2(m, prec)
+def _square_form(z):
+    return mp.mpf(1), z
 
 
-def _triangular_value(z, prec, convention):
-    z = mp.mpf(z)
+def _triangular_form(z):
     a = 3 / z + 1 - mp.sqrt(3 + 6 / z)
     b = 3 / z + 1 + mp.sqrt(3 + 6 / z)
     c = (a + 1) * (b - 1)
-    kp = mp.sqrt(2 * (b - a) / c)
-    m = kp ** 2 if convention == "modulus" else kp
-    return 6 / (mp.pi * z * mp.sqrt(c)) * mp.pi / 2 * _K2(m, prec)
+    return 3 / (z * mp.sqrt(c)), mp.sqrt(2 * (b - a) / c)
 
 
 def _diamond_k2(z, sign):
@@ -405,37 +340,47 @@ def _diamond_k2(z, sign):
             - (2 - z ** 2) * mp.sqrt(1 - z ** 2) / 4)
 
 
-def _diamond_alg_value(z, prec, convention):
-    z = mp.mpf(z)
-    m = _diamond_k2(z, -1)
-    arg = m if convention == "modulus" else mp.sqrt(m)
-    with mp.workdps(_dps(prec)):
-        f = mp.hyp2f1(mp.mpf(1) / 2, mp.mpf(1) / 2, 1, arg)
-        return (mp.sqrt(4 - z ** 2) - mp.sqrt(1 - z ** 2)) * f ** 2
+def _diamond3_value(z, prec):
+    # the diamond3 form, (2/pi)^2 K(k+^2) K(k-^2)
+    return two_over_pi_K(_diamond_k2(z, +1), prec) * two_over_pi_K(_diamond_k2(z, -1), prec)
+
+
+def _diamond_alg_form(z):
+    # printed as 2F1(1/2, 1/2; 1; k^2)^2 = (2/pi)^2 K(k^2)^2
+    return mp.sqrt(4 - z ** 2) - mp.sqrt(1 - z ** 2), mp.sqrt(_diamond_k2(z, -1))
 
 
 # forms whose printed elliptic/2F1 argument does not say whether it is
-# k or k^2; resolved against the series and cached in _CONVENTION
+# k or k^2; each returns (prefactor, printed argument) and its value is
+# prefactor * ((2/pi) K)^power.  Resolved against the series and cached
+# in _CONVENTION
 _AMBIGUOUS_EVAL = {
-    "honeycomb": (_honeycomb_value, LatticeSpec("honeycomb", 2)),
-    "square": (_square_value, LatticeSpec("square", 2)),
-    "triangular": (_triangular_value, LatticeSpec("triangular", 2)),
-    "diamond-algebraic-2F1": (_diamond_alg_value, LatticeSpec("diamond", 3)),
+    "honeycomb": (_honeycomb_form, LatticeSpec("honeycomb", 2), 1),
+    "square": (_square_form, LatticeSpec("square", 2), 1),
+    "triangular": (_triangular_form, LatticeSpec("triangular", 2), 1),
+    "diamond-algebraic-2F1": (_diamond_alg_form, LatticeSpec("diamond", 3), 2),
 }
 _AMBIGUOUS = tuple(_AMBIGUOUS_EVAL)
+
+
+def _ambiguous_value(form_id: str, z, prec: int, convention: str):
+    form, _, power = _AMBIGUOUS_EVAL[form_id]
+    pre, k = form(z)
+    m = k ** 2 if convention == "modulus" else k
+    return pre * two_over_pi_K(m, prec) ** power
 
 
 def _resolve(form_id: str, prec: int = 30) -> str:
     if form_id in _CONVENTION:
         return _CONVENTION[form_id]
-    fn, spec = _AMBIGUOUS_EVAL[form_id]
+    spec = _AMBIGUOUS_EVAL[form_id][1]
     winners = []
     with mp.workdps(_dps(prec)):
         table = coeffs(spec, 260)
         refs = [(z, mp.fsum(_series_terms(spec, table, z)))
                 for z in (mp.mpf("0.1"), mp.mpf("0.2"))]
         for convention in ("modulus", "parameter"):
-            if all(_contract_check(fn(z, prec, convention), ref, prec)
+            if all(_contract_check(_ambiguous_value(form_id, z, prec, convention), ref, prec)
                    for z, ref in refs):
                 winners.append(convention)
     if len(winners) != 1:
@@ -465,7 +410,7 @@ def convention_report(prec: int = 30) -> list[ConditionReport]:
 def _xi_form(prec, xi, prefactor_num):
     # shared shell of the sc/fcc xi-parametrized forms
     m = 16 * xi ** 3 / ((1 - xi) ** 3 * (1 + 3 * xi))
-    return prefactor_num / ((1 - xi) ** 3 * (1 + 3 * xi)) * _K2(m, prec) ** 2
+    return prefactor_num / ((1 - xi) ** 3 * (1 + 3 * xi)) * two_over_pi_K(m, prec) ** 2
 
 
 def joyce_closed_form(form_id: str, z, prec: int = 30):
@@ -489,8 +434,7 @@ def joyce_closed_form(form_id: str, z, prec: int = 30):
                 return mp.mpf(1)
             if not 0 < z < 1:
                 raise DomainError("validated domain is 0 <= z < 1")
-            fn, _ = _AMBIGUOUS_EVAL[form_id]
-            return fn(z, prec, _resolve(form_id))
+            return _ambiguous_value(form_id, z, prec, _resolve(form_id))
         if not 0 <= z < 1:
             raise DomainError("validated domain is 0 <= z < 1")
         if form_id == "sc3":
@@ -499,7 +443,7 @@ def joyce_closed_form(form_id: str, z, prec: int = 30):
             return _xi_form(prec, xi, 1 - 9 * xi ** 4)
         if form_id == "bcc3":
             m = mp.mpf(1) / 2 - mp.sqrt(1 - z ** 2) / 2
-            return _K2(m, prec) ** 2
+            return two_over_pi_K(m, prec) ** 2
         if form_id == "fcc3":
             # the inner root must carry z/3, mirroring the z^2/9 of the
             # sc form; the 3z reading fails against the series in the
@@ -507,19 +451,18 @@ def joyce_closed_form(form_id: str, z, prec: int = 30):
             xi = (-1 + mp.sqrt(1 + z / 3)) / (1 + mp.sqrt(1 - z))
             return _xi_form(prec, xi, (1 + 3 * xi ** 2) ** 2)
         if form_id == "diamond3":
-            kp = _diamond_k2(z, +1)
-            km = _diamond_k2(z, -1)
-            return (_K2(kp, prec) * mp.pi / 2) * (_K2(km, prec) * mp.pi / 2) * 4 / mp.pi ** 2
+            return _diamond3_value(z, prec)
         raise DomainError(f"unhandled form {form_id!r}")
 
 
 def honeycomb_map_eval(target: str, xi, prec: int = 30):
     """Map a honeycomb series value R(xi) = sum b_n xi^(2n) to a 3d LGF.
 
-    Returns (z, P(z)).  The sc map produces z^2 > 0 and the positive
-    root is returned; the bcc and diamond maps produce z^2 < 0, so z
-    comes back imaginary while P stays real (the even series is
-    evaluated directly in z^2).
+    R(xi) is the honeycomb P at z = 3 xi, summed by lgf_series_eval to
+    its own term count.  Returns (z, P(z)).  The sc map produces z^2 > 0
+    and the positive root is returned; the bcc and diamond maps produce
+    z^2 < 0, so z comes back imaginary while P stays real (the even
+    series is evaluated directly in z^2).
     """
     if target not in ("fcc", "sc", "bcc", "diamond"):
         raise DomainError(f"no honeycomb map for {target!r}")
@@ -527,8 +470,7 @@ def honeycomb_map_eval(target: str, xi, prec: int = 30):
         xi = mp.mpf(xi)
         if not 0 <= xi < mp.mpf(1) / 4:
             raise DomainError("validated domain is 0 <= xi < 1/4")
-        hc = coeffs(LatticeSpec("honeycomb", 2), 200)
-        r = mp.fsum(mp.mpf(hc[m]) * xi ** (2 * m) for m in range(201))
+        r = lgf_series_eval(LatticeSpec("honeycomb", 2), 3 * xi, prec).value
         x2 = xi ** 2
         if target == "fcc":
             z = -12 * x2 / (1 - 3 * x2) ** 2
@@ -567,10 +509,10 @@ def fourd_sc_double_elliptic(z, prec: int = 30):
 
     (8/pi^3) int_0^1 K(k+(tz)) K(k-(tz)) dt/sqrt(1-t^2), with k+- the 3d
     diamond moduli.  The prefactor and integrand arguments follow from
-    the Abel relation between the 4d cubic and 3d diamond walks; the
-    z = 0 limit (K(1/2... ) -> pi/2 squared times pi/2) gives exactly 1.
-    In t = sin(phi) it is (4/pi^2) times the quarter-period mean of
-    K(k+(zt)) K(k-(zt)), which _quarter_period_mean takes by the periodic
+    the Abel relation between the 4d cubic and 3d diamond walks; at
+    z = 0 both K are pi/2 and the value is exactly 1.  In t = sin(phi)
+    it is the quarter-period mean of (2/pi)^2 K(k+(zt)) K(k-(zt)), the
+    diamond3 form at zt, which _quarter_period_mean takes by the periodic
     trapezoid rule: k+- depend on zt only through (zt)^2, so the
     integrand is even in t.
     """
@@ -578,28 +520,11 @@ def fourd_sc_double_elliptic(z, prec: int = 30):
         z = mp.mpf(z)
         if not 0 <= z < 1:
             raise DomainError("validated domain is 0 <= z < 1")
-
-        def integrand(t):
-            w = z * t
-            return mp.ellipk(_diamond_k2(w, +1)) * mp.ellipk(_diamond_k2(w, -1))
-
-        mean, _ = _quarter_period_mean(integrand, prec)
-        return 4 / mp.pi ** 2 * mean
+        mean, _ = _quarter_period_mean(lambda t: _diamond3_value(z * t, prec), prec)
+        return mean
 
 
 # -- Bessel integrals ---------------------------------------------------------
-
-
-def bessel_I0(x, prec: int = 30):
-    with mp.workdps(_dps(prec)):
-        return mp.besseli(0, mp.mpf(x))
-
-
-def bessel_K0(x, prec: int = 30):
-    if mp.mpf(x) <= 0:
-        raise DomainError("K0 on (0, inf) only")
-    with mp.workdps(_dps(prec)):
-        return mp.besselk(0, mp.mpf(x))
 
 
 def quadrature(f, interval, prec: int = 30):
@@ -656,25 +581,29 @@ def _laplace_sc(d: int, z, prec: int):
 
 
 def bessel_sc_check(d: int, z, prec: int = 25) -> IdentityCheck:
-    """int_0^inf e^-t I0(zt/d)^d dt against the d-cubic series at z."""
+    """int_0^inf e^-t I0(zt/d)^d dt against the d-cubic series at z.
+
+    The series, by lgf_series_eval, comes first, so a z whose term count
+    passes the cap is refused before any quadrature."""
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
         if not 0 <= z < 1:
             raise DomainError("integral converges for 0 <= z < 1")
-        rhs = _series_value(LatticeSpec("sc", d), z, prec, terms=200)
+        rhs = lgf_series_eval(LatticeSpec("sc", d), z, prec).value
         return _contract_check(_laplace_sc(d, z, prec), rhs, prec)
 
 
 def bessel_diamond_check(d: int, z, prec: int = 25) -> IdentityCheck:
-    """int_0^inf t I0(zt/(d+1))^(d+1) K0(t) dt against the d-diamond series."""
+    """int_0^inf t I0(zt/(d+1))^(d+1) K0(t) dt against the d-diamond series,
+    the series first as in bessel_sc_check."""
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
         if not 0 <= z < 1:
             raise DomainError("integral converges for 0 <= z < 1")
+        rhs = lgf_series_eval(LatticeSpec("diamond", d), z, prec).value
         lhs, _ = quadrature(
             lambda t: t * mp.besseli(0, z * t / (d + 1)) ** (d + 1) * mp.besselk(0, t),
             [0, mp.inf], prec)
-        rhs = _series_value(LatticeSpec("diamond", d), z, prec, terms=200)
         return _contract_check(lhs, rhs, prec)
 
 
@@ -721,7 +650,8 @@ def abel_forward_check(d: int, z, prec: int = 20):
 
     Exact part: (2n-1)!!/(2n)!! = C(2n,n)/4^n for n <= 20.  Numeric
     part: P_d(z) = (2/pi) int_0^1 Z_d(t^2 z^2/d^2)/sqrt(1-t^2) dt with
-    Z_d the structure-sum generating function, taken to 200 terms and
+    Z_d the structure-sum generating function, taken to the term count
+    lgf_series_eval picks for the series side (before any quadrature) and
     evaluated by Horner's rule on coefficients converted to mpf once.
     In t = sin(phi) the integral is the quarter-period mean of
     Z_d(z^2 t^2/d^2), even in t, taken by the periodic trapezoid rule.
@@ -732,10 +662,11 @@ def abel_forward_check(d: int, z, prec: int = 20):
         z = mp.mpf(z)
         if not 0 <= z < 1:
             raise DomainError("0 <= z < 1")
-        sums = [mp.mpf(s) for s in reversed(structure_sums(d, 200))]
+        r = lgf_series_eval(LatticeSpec("sc", d), z, prec)
+        series = r.value
+        sums = [mp.mpf(s) for s in reversed(structure_sums(d, r.terms_used))]
         w = z ** 2 / d ** 2
         integral, _ = _quarter_period_mean(lambda u: mp.polyval(sums, w * u ** 2), prec)
-        series = _series_value(LatticeSpec("sc", d), z, prec, terms=200)
         check = _contract_check(integral, series, prec)
         reports.append(ConditionReport(
             f"Abel integral matches the d={d} cubic series", bool(check),
@@ -756,7 +687,6 @@ class RamanujanSeries:
     b: QSqrt3            # B
     x0: QSqrt3
     target_label: str
-    digits_per_term: float
 
     def target(self):
         # targets are c1/pi + c2*sqrt(3)/pi, encoded in the label
@@ -776,19 +706,19 @@ _DIAMOND3, _SC3, _BCC3 = LatticeSpec("diamond", 3), LatticeSpec("sc", 3), Lattic
 
 _RAMANUJAN = {
     "diam-32": RamanujanSeries(_DIAMOND3, QSqrt3(3), QSqrt3(1),
-                               QSqrt3(Q(-1, 32)), "2/pi", 0.30),
+                               QSqrt3(Q(-1, 32)), "2/pi"),
     "diam-64": RamanujanSeries(_DIAMOND3, QSqrt3(5), QSqrt3(1),
-                               QSqrt3(Q(1, 64)), "8*sqrt(3)/(3*pi)", 0.60),
+                               QSqrt3(Q(1, 64)), "8*sqrt(3)/(3*pi)"),
     "diam-sqrt3": RamanujanSeries(_DIAMOND3, QSqrt3(6), QSqrt3(3, -1),
                                   QSqrt3(Q(-5, 4), Q(3, 4)),
-                                  "(9+5*sqrt(3))/pi", 0.105),
+                                  "(9+5*sqrt(3))/pi"),
     "sc-484": RamanujanSeries(_SC3, QSqrt3(520), QSqrt3(159, -48),
                               QSqrt3(Q(-139, 484), Q(20, 121)),
-                              "2*(64+29*sqrt(3))/pi", 1.48),
+                              "2*(64+29*sqrt(3))/pi"),
     "bcc-256": RamanujanSeries(_BCC3, QSqrt3(6), QSqrt3(1),
-                               QSqrt3(Q(1, 256)), "4/pi", 0.60),
+                               QSqrt3(Q(1, 256)), "4/pi"),
     "bcc-4096": RamanujanSeries(_BCC3, QSqrt3(42), QSqrt3(5),
-                                QSqrt3(Q(1, 4096)), "16/pi", 1.81),
+                                QSqrt3(Q(1, 4096)), "16/pi"),
 }
 
 RAMANUJAN_IDS = tuple(_RAMANUJAN)
@@ -879,13 +809,27 @@ def return_probability(spec: LatticeSpec, prec: int = 25):
 # -- logarithmic Mahler measure -----------------------------------------------
 
 
-def _laurent_one_var(F: dict):
-    shift = -min(e[0] for e in F)
-    deg = max(e[0] for e in F) + shift
-    cs = [mp.mpf(0)] * (deg + 1)
-    for e, c in F.items():
-        cs[e[0] + shift] = mp.mpf(c)
-    return cs
+def _jensen(poly: dict, tiny=0):
+    """Jensen's formula for the Mahler measure of sum_e c_e x^e, given as
+    {exponent: c}: log|lead| plus log|r| over the roots r outside the unit
+    circle.  Leading coefficients with |c| <= tiny are dropped first."""
+    cs = [poly.get(e, 0) for e in range(min(poly), max(poly) + 1)]
+    while len(cs) > 1 and abs(cs[-1]) <= tiny:
+        cs.pop()
+    if len(cs) == 1:
+        return mp.log(abs(cs[0]))
+    if len(cs) == 3:
+        # quadratics by the stable formula; Durand-Kerner stalls on the
+        # (near-)double roots the quadrature nodes land on
+        c, b, a = cs
+        disc = mp.sqrt(b * b - 4 * a * c)
+        if mp.re(mp.conj(b) * disc) < 0:
+            disc = -disc
+        q = -(b + disc) / 2
+        roots = [q / a, c / q] if q != 0 else [0, 0]
+    else:
+        roots = mp.polyroots(list(reversed(cs)), maxsteps=500, extraprec=80)
+    return mp.log(abs(cs[-1])) + mp.fsum(mp.log(abs(r)) for r in roots if abs(r) > 1)
 
 
 def log_mahler_measure(F: dict, prec: int = 30):
@@ -893,9 +837,9 @@ def log_mahler_measure(F: dict, prec: int = 30):
 
     One variable: exact Jensen evaluation, log|lead| + sum log|roots
     outside the unit circle|.  Two variables: the inner variable is
-    eliminated by Jensen at each angle and the outer integral is done by
-    quadrature on split panels; the contract is the (weaker) agreement
-    of two panel counts, reported as the error.
+    eliminated by the same Jensen routine at each angle and the outer
+    integral is done by quadrature on split panels; the contract is the
+    (weaker) agreement of two panel counts, reported as the error.
     """
     if not F:
         raise DomainError("zero polynomial")
@@ -907,14 +851,7 @@ def log_mahler_measure(F: dict, prec: int = 30):
             c = sum(mp.mpf(v) for v in F.values())
             return mp.log(abs(c)), mp.mpf(0)
         if nvars == 1:
-            cs = _laurent_one_var(F)
-            while cs and cs[-1] == 0:
-                cs.pop()
-            if len(cs) == 1:
-                return mp.log(abs(cs[0])), mp.mpf(0)
-            roots = mp.polyroots(list(reversed(cs)), maxsteps=200, extraprec=60)
-            m = mp.log(abs(cs[-1])) + mp.fsum(
-                mp.log(abs(r)) for r in roots if abs(r) > 1)
+            m = _jensen({e: mp.mpf(c) for (e,), c in F.items()})
             return m, mp.mpf(10) ** (-(prec - 4))
         if nvars != 2:
             raise DomainError("one or two variables only")
@@ -924,26 +861,7 @@ def log_mahler_measure(F: dict, prec: int = 30):
             poly: dict[int, mp.mpc] = {}
             for (ex, ey), c in F.items():
                 poly[ex] = poly.get(ex, mp.mpc(0)) + mp.mpf(c) * y ** ey
-            exps = sorted(poly)
-            shift = -exps[0]
-            cs = [poly.get(e - shift, mp.mpc(0)) for e in range(exps[-1] + shift + 1)]
-            while len(cs) > 1 and abs(cs[-1]) < mp.mpf(10) ** (-_dps(prec)):
-                cs.pop()
-            if len(cs) == 1:
-                return mp.log(abs(cs[0]))
-            if len(cs) == 3:
-                # quadratics by the stable formula; Durand-Kerner stalls on
-                # the (near-)double roots the quadrature nodes land on
-                a, b, c = cs[2], cs[1], cs[0]
-                disc = mp.sqrt(b * b - 4 * a * c)
-                if mp.re(mp.conj(b) * disc) < 0:
-                    disc = -disc
-                q = -(b + disc) / 2
-                roots = [q / a, c / q] if q != 0 else [mp.mpc(0), mp.mpc(0)]
-            else:
-                roots = mp.polyroots(list(reversed(cs)), maxsteps=500, extraprec=80)
-            return mp.log(abs(cs[-1])) + mp.fsum(
-                mp.log(abs(r)) for r in roots if abs(r) > 1)
+            return _jensen(poly, mp.mpf(10) ** (-_dps(prec)))
 
         def outer(panels):
             edges = [mp.pi * j / panels for j in range(panels + 1)]

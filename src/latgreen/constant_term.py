@@ -330,7 +330,7 @@ def class_bound(kspec: KernelSpec, power: int, cap: int | None = None) -> int:
     return sum(f[d])
 
 
-def ct_sequence(kspec: KernelSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> list[int]:
+def ct_sequence(kspec: KernelSpec, n_max: int) -> list[int]:
     """CT[K^n] for n = 0..n_max, from the powers of K up to M = ceil(n_max/2).
 
     For a + b = n, CT[K^n] = sum_e [K^a]_e [K^b]_(-e): the walks of n
@@ -351,15 +351,15 @@ def ct_sequence(kspec: KernelSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> 
     kernels with K(1/x) != K(x).
 
     Raises ResourceLimit before any work when class_bound at power M
-    exceeds budget, or when M x class_bound x the kernel's term count,
+    exceeds DEFAULT_BUDGET, or when M x class_bound x the kernel's term count,
     which bounds the walk's work, exceeds CT_WORK_CAP.
     """
     K = kspec.kernel
     half = (n_max + 1) // 2
-    classes = class_bound(kspec, half, budget)
-    if classes > budget:
+    classes = class_bound(kspec, half, DEFAULT_BUDGET)
+    if classes > DEFAULT_BUDGET:
         raise ResourceLimit(f"CT to n = {n_max} walks to power {half}, whose class "
-                            f"bound exceeds the budget of {budget} classes")
+                            f"bound exceeds the budget of {DEFAULT_BUDGET} classes")
     if half * classes * len(K.terms) > CT_WORK_CAP:
         raise ResourceLimit(f"CT to n = {n_max} walks {half} powers over up to {classes} "
                             f"classes and {len(K.terms)} kernel terms, over the work "
@@ -392,18 +392,18 @@ def ct_sequence(kspec: KernelSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> 
     return out[: n_max + 1]
 
 
-def ct_series(kspec: KernelSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> list[int]:
+def ct_series(kspec: KernelSpec, n_max: int) -> list[int]:
     """Coefficient table by constant terms, indexed the same way as the
     closed-form tables: even-only families report CT[K^{2n}] at index n,
     everything else CT[K^n].  Unbound kernels report the raw sequence."""
     p = LatticeSpec(kspec.family, kspec.dim).powers_per_index if kspec.family else 1
-    return ct_sequence(kspec, p * n_max, budget)[::p]
+    return ct_sequence(kspec, p * n_max)[::p]
 
 
-def kernel_equivalence(k1: KernelSpec, k2: KernelSpec, n_max: int, budget: int = DEFAULT_BUDGET) -> VerifyReport:
+def kernel_equivalence(k1: KernelSpec, k2: KernelSpec, n_max: int) -> VerifyReport:
     """Do the two kernels generate identical CT sequences through n_max?"""
-    a = ct_sequence(k1, n_max, budget)
-    b = ct_sequence(k2, n_max, budget)
+    a = ct_sequence(k1, n_max)
+    b = ct_sequence(k2, n_max)
     for n in range(n_max + 1):
         if a[n] != b[n]:
             return VerifyReport(False, n_max, n, f"{k1.label or 'k1'} vs {k2.label or 'k2'}")

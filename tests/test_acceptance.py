@@ -17,7 +17,6 @@ import mpmath as mp
 from latgreen.analytic import (
     RAMANUJAN_IDS,
     abel_forward_check,
-    bessel_I0,
     bessel_connection_check,
     bessel_diamond_check,
     bessel_sc_check,
@@ -233,7 +232,7 @@ def _sc_laplace_value():
     # cubed at x = t/3, integrated termwise
     with mp.workdps(40):
         head, _ = quadrature(
-            lambda t: mp.exp(-t) * bessel_I0(t / 3, 30) ** 3, (0, 400), prec=18)
+            lambda t: mp.exp(-t) * mp.besseli(0, t / 3) ** 3, (0, 400), prec=18)
         c = (3 / (2 * mp.pi)) ** mp.mpf("1.5")
         T = mp.mpf(400)
         tail = c * (2 / mp.sqrt(T)

@@ -316,6 +316,14 @@ class TestEval:
                              "--d", "3", "--z", "0.4", "--prec", "12")
         assert code == OK and doc["passed"]
 
+    @pytest.mark.parametrize("check,prec", [("sc", "16"), ("diamond", "12")])
+    def test_bessel_near_one(self, capsys, check, prec):
+        # the series side needs some 600 terms at z = 0.97; 200 left it
+        # about 1e-8 off
+        code, doc = run_json(capsys, "eval", "bessel", "--check", check,
+                             "--d", "3", "--z", "0.97", "--prec", prec)
+        assert code == OK and doc["passed"] is True
+
     def test_bessel_abel(self, capsys):
         code, doc = run_json(capsys, "eval", "bessel", "--check", "abel",
                              "--d", "3", "--z", "0.3", "--prec", "12")
@@ -419,6 +427,9 @@ class TestRunner:
         # 8 10^6 terms at 10^5 digits if the term count followed --prec
         (["eval", "lgf", "--family", "bcc", "--dim", "4", "--z", "1",
           "--prec", "100000"], LIMIT, "ResourceLimit"),
+        # the series sides of the identity checks need some 10^5 terms here
+        *[(["eval", "bessel", "--check", check, "--d", "3", "--z", "0.9999"],
+           LIMIT, "ResourceLimit") for check in ("sc", "diamond", "abel")],
     ])
     def test_error_document(self, capsys, tmp_path, argv, code, error):
         bad = tmp_path / "bad.txt"

@@ -265,12 +265,16 @@ def test_single_site_ct_bounded_by_all_walks():
             assert 0 <= seq[n] < q ** n
 
 
-def test_budget_limit():
+def test_budget_limit(monkeypatch):
+    # ct_sequence reads DEFAULT_BUDGET when it is called
+    monkeypatch.setattr(constant_term, "DEFAULT_BUDGET", 5)
     with pytest.raises(ResourceLimit):
-        ct_sequence(kernel("fcc", 4), 10, budget=5)
+        ct_sequence(kernel("fcc", 4), 10)
+    monkeypatch.setattr(constant_term, "DEFAULT_BUDGET", 10)
     with pytest.raises(ResourceLimit):
-        ct_sequence(kernel("bcc", 4), 8, budget=10)
-    assert len(ct_sequence(kernel("bcc", 4), 8, budget=20)) == 9
+        ct_sequence(kernel("bcc", 4), 8)
+    monkeypatch.setattr(constant_term, "DEFAULT_BUDGET", 20)
+    assert len(ct_sequence(kernel("bcc", 4), 8)) == 9
 
 
 def test_kernel_text_round_trip():
