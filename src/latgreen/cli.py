@@ -511,6 +511,11 @@ EXIT_CODES = (
 
 def main(argv=None) -> int:
     started = time.monotonic()
+    if hasattr(sys, "set_int_max_str_digits"):
+        # every big integer crosses the cache and the JSON document as a
+        # decimal string, and tables pass the default 4300-digit limit on
+        # int <-> str conversion (bcc d = 10 entries do before n = 730)
+        sys.set_int_max_str_digits(0)
     doc: dict = {}
     try:
         args = build_parser().parse_args(argv)

@@ -1,12 +1,23 @@
 """Exact nullspaces of integer/rational matrices.
 
-Operator fits use the modular route: row-reduce modulo several 62-bit
-primes, CRT the results together, lift to rationals by lattice
-reconstruction, then verify the lifted vectors against every equation
-exactly.  Only the verified answer is returned, so an unlucky prime can
-cost time but not correctness.  Straight Gaussian elimination over
-Fraction is kept as the reference the tests compare the modular route
-against.
+Operator fits use the modular route, Dixon's p-adic lifting (J. D. Dixon,
+"Exact solution of linear equations using p-adic expansions", Numer.
+Math. 40 (1982) 137-141).  One forward elimination modulo a 62-bit prime
+gives the rank, the pivot columns and the factors of the pivot block.
+Rank over Q is at least rank mod p, so full column rank mod p proves the
+nullspace empty after that one elimination.  Otherwise the vector of
+each free column (that coordinate one, the other free ones zero) is
+lifted p-adically on the pivot block: each step is one solve mod p with
+the stored factors and one integer residual update.  After each step,
+rational reconstruction over a common denominator proposes a candidate,
+and a candidate is returned only once it annihilates every row exactly.
+
+A prime that loses rank over Q shows as a candidate that solves the
+pivot rows exactly but not every row; one whose pivots differ from
+those over Q shows as a verified vector nonzero right of its free
+column.  Either way the next prime is tried, so an unlucky prime costs
+time, never correctness.  Straight Gaussian elimination over Fraction is
+kept as the reference the tests compare the modular route against.
 """
 
 from __future__ import annotations
@@ -14,16 +25,15 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, isqrt
+from operator import mul
 from typing import Sequence
 
 from .errors import FitFailure
-from .series import _numerators
 
 Q = Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic below 2^64
 _PRIME_BITS = 62
-_MAX_PRIMES = 80
 
 
 def _is_prime(n: int) -> bool:
@@ -100,49 +110,41 @@ def nullspace_fraction(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> 
     return basis
 
 
-def _rref_mod(rows: list[list[int]], ncols: int, p: int):
+def _eliminate_mod(rows: Sequence[Sequence[int]], ncols: int, p: int):
+    """Row-echelon form of rows mod p with the multipliers kept (PLU in place).
+
+    Returns (order, pivots, mat): mat[i] is row order[i] of rows after
+    elimination.  From its pivot column on it holds U; at the pivot
+    column of each earlier pivot k it holds the multiplier L[i][k].
+    Entries left of the current pivot column are never touched.
+    """
     mat = [[x % p for x in r] for r in rows]
+    order = list(range(len(mat)))
     pivots: list[int] = []
     r = 0
     for c in range(ncols):
-        pr = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pr = i
-                break
+        pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][c], p - 2, p)
-        mat[r] = [x * inv % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                row_r = mat[r]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], row_r)]
+        order[r], order[pr] = order[pr], order[r]
+        inv = pow(mat[r][c], -1, p)
+        tail = mat[r][c + 1:]
+        for row in mat[r + 1:]:
+            if row[c]:
+                f = row[c] * inv % p
+                row[c] = f
+                row[c + 1:] = [(a - f * b) % p for a, b in zip(row[c + 1:], tail)]
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
-    return mat, pivots
+    return order, pivots, mat
 
 
-def _nullspace_mod(rows: list[list[int]], ncols: int, p: int):
-    mat, pivots = _rref_mod(rows, ncols, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for pr, pc in enumerate(pivots):
-            v[pc] = (-mat[pr][fc]) % p
-        basis.append(v)
-    return basis, tuple(pivots)
-
-
-def _rational_reconstruct(a: int, m: int) -> Fraction | None:
-    """p/q with a*q = p (mod m), |p|, q <= sqrt(m/2), or None."""
-    bound = isqrt(m // 2)
+def _rational_reconstruct(a: int, m: int, bound: int) -> Fraction | None:
+    """n/d with a*d = n (mod m), |n|, d <= bound, or None; unique while
+    2 bound^2 < m."""
     r0, r1 = m, a % m
     t0, t1 = 0, 1
     while r1 > bound:
@@ -156,62 +158,118 @@ def _rational_reconstruct(a: int, m: int) -> Fraction | None:
     return Q(r1, t1)
 
 
-def _crt_pair(a1: int, m1: int, a2: int, m2: int) -> int:
-    d = (a2 - a1) * pow(m1, -1, m2) % m2
-    return a1 + m1 * d
+def _reconstruct(xs: list[int], m: int) -> tuple[int, list[int]] | None:
+    """(d, ns) with ns[i] / d = xs[i] (mod m), or None.
+
+    Over a common denominator: each entry times the denominator so far is
+    reconstructed, so d grows only by the part an entry adds.
+    """
+    bound = isqrt(m // 2)
+    d = 1
+    ns: list[int] = []
+    for x in xs:
+        f = _rational_reconstruct(x * d, m, bound)
+        if f is None:
+            return None
+        e = f.denominator
+        d *= e
+        if d > bound:
+            return None
+        ns = [n * e for n in ns]
+        ns.append(f.numerator)
+    return d, ns
+
+
+class _PivotBlock:
+    """The pivot rows and columns of one elimination mod p, with its factors.
+
+    solve works mod p from the stored factors; lift finds a nullspace
+    vector by p-adic lifting.  Vectors over the block are indexed by
+    pivot position: entry i belongs to row order[i] and column pivots[i].
+    """
+
+    def __init__(self, rows, ncols: int, p: int, order, pivots, mat):
+        rank = len(pivots)
+        self.ncols, self.p, self.pivots = ncols, p, pivots
+        self.rows = [rows[i] for i in order[:rank]]
+        self.rest = [rows[i] for i in order[rank:]]
+        # row i of the factors: L[i][:i], then U[i][i:]
+        self.lu = [[row[c] for c in pivots] for row in mat[:rank]]
+        self.invs = [pow(row[i], -1, p) for i, row in enumerate(self.lu)]
+        # Hadamard: |det| and every Cramer numerator of the block are at most
+        # the product of the pivot rows' 2-norms, each below
+        # sqrt(ncols) 2^(max entry bits).  Once p^steps > 2 H^2,
+        # reconstruction cannot miss the block's solution.
+        bits = sum(max(map(int.bit_length, row)) for row in self.rows)
+        bits += rank * (ncols.bit_length() // 2 + 1)
+        self.steps = (2 * bits + 1) // (p.bit_length() - 1) + 1
+
+    def solve(self, b: list[int]) -> list[int]:
+        """x with B x = b (mod p), forward then back substitution."""
+        p = self.p
+        z: list[int] = []
+        for row, bi in zip(self.lu, b):
+            z.append((bi - sum(map(mul, row, z))) % p)
+        xr: list[int] = []  # x from the last entry back
+        for row, zi, inv in zip(reversed(self.lu), reversed(z), reversed(self.invs)):
+            xr.append((zi - sum(map(mul, reversed(row), xr))) * inv % p)
+        return xr[::-1]
+
+    def lift(self, fc: int) -> list[int] | None:
+        """Integer multiple w of the nullspace vector of free column fc.
+
+        Lifts the block's solution for right-hand side -(column fc)
+        p-adically, for at most self.steps steps.  None when p is
+        unlucky: a candidate that solves the pivot rows exactly is the
+        block's unique solution, so if it fails another row, no vector
+        with this free pattern exists over Q.
+        """
+        p = self.p
+        res = [-row[fc] for row in self.rows]
+        x = [0] * len(res)
+        y_cols = [0] * self.ncols
+        pk = 1
+        for _ in range(self.steps):
+            y = self.solve([v % p for v in res])
+            x = [a + b * pk for a, b in zip(x, y)]
+            pk *= p
+            for c, v in zip(self.pivots, y):
+                y_cols[c] = v
+            res = [(v - sum(map(mul, row, y_cols))) // p for v, row in zip(res, self.rows)]
+            cand = _reconstruct(x, pk)
+            if cand is None:
+                continue
+            d, ns = cand
+            w = [0] * self.ncols
+            w[fc] = d
+            for c, n in zip(self.pivots, ns):
+                w[c] = n
+            if _verify_nullspace(self.rows, w):
+                return w if _verify_nullspace(self.rest, w) else None
+        return None
+
+
+def _verify_nullspace(rows: Sequence[Sequence[int]], w: list[int]) -> bool:
+    return all(sum(map(mul, r, w)) == 0 for r in rows)
 
 
 def nullspace_modular(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fraction]]:
-    """Exact rational nullspace of an integer matrix via CRT lifting.
+    """Exact rational nullspace of an integer matrix by p-adic lifting.
 
-    Primes that lose rank (or disagree on pivot columns) are discarded:
-    the true rank mod p can only drop, so the maximal observed pivot set
-    wins.  The lifted basis is verified against every row exactly before
-    being returned.
+    Same basis and convention as nullspace_fraction.  One prime serves
+    unless it is unlucky (see the module docstring).
     """
-    rows = [list(r) for r in rows]
-    stream = prime_stream()
-    best_pivots: tuple[int, ...] | None = None
-    residues: list[list[int]] = []  # flattened basis entries mod modulus
-    modulus = 1
-    used = 0
-    while used < _MAX_PRIMES:
-        p = next(stream)
-        used += 1
-        basis_p, pivots = _nullspace_mod(rows, ncols, p)
-        if best_pivots is None or len(pivots) > len(best_pivots):
-            best_pivots = pivots
-            residues = [list(v) for v in basis_p]
-            modulus = p
-            continue
-        if pivots != best_pivots:
-            continue  # unlucky prime
-        for v, vp in zip(residues, basis_p):
-            for i in range(ncols):
-                v[i] = _crt_pair(v[i], modulus, vp[i], p)
-        modulus *= p
-        lifted = []
-        ok = True
-        for v in residues:
-            w = []
-            for x in v:
-                f = _rational_reconstruct(x, modulus)
-                if f is None:
-                    ok = False
-                    break
-                w.append(f)
-            if not ok:
-                break
-            lifted.append(w)
-        if ok and _verify_nullspace(rows, lifted):
-            return lifted
-    raise FitFailure(f"modular nullspace did not stabilize after {used} primes")
-
-
-def _verify_nullspace(rows: list[list[int]], basis: list[list[Fraction]]) -> bool:
-    for v in basis:
-        w, _ = _numerators(v)
-        for r in rows:
-            if sum(a * b for a, b in zip(r, w)) != 0:
-                return False
-    return True
+    for p in prime_stream():
+        order, pivots, mat = _eliminate_mod(rows, ncols, p)
+        if len(pivots) == ncols:
+            return []
+        block = _PivotBlock(rows, ncols, p, order, pivots, mat)
+        basis = []
+        for fc in sorted(set(range(ncols)) - set(pivots)):
+            w = block.lift(fc)
+            if w is None or any(w[c] for c in pivots if c > fc):
+                break  # p lost rank, or its pivots are not those over Q
+            basis.append([Q(v, w[fc]) for v in w])
+        else:
+            return basis
+    raise FitFailure("prime stream ended")

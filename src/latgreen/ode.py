@@ -38,6 +38,7 @@ from .errors import (
     InsufficientTerms,
     NotMUM,
     NotSymmetricSquare,
+    ResourceLimit,
     UnknownOperator,
 )
 # nullspace_fraction is not called here; perfbench/spans.py wraps it by this name
@@ -50,6 +51,7 @@ Q = Fraction
 
 # Rows a fit needs beyond its unknowns before it is attempted.
 _GUARD = 5
+FIT_WORK_CAP = 10 ** 8  # unknowns^2 x rows, the elimination's work, one fit may cost
 
 
 def _falling(i: int) -> Poly:
@@ -354,16 +356,22 @@ def fit_ode(series: PowerSeries, r: int, k: int, note: str = "") -> ThetaOperato
     Returns None when the only solution is zero.  The linear system runs
     over every available coefficient, at least _GUARD more than the
     unknowns, so the extra rows are confirmatory by construction.  It is
-    solved by the modular route (mod-p elimination, CRT and rational
-    reconstruction), which checks its lifted basis exactly against every
-    row; the operator is then re-verified against the series before
-    being returned.
+    solved by the modular route: one elimination mod p, which proves an
+    empty nullspace by full rank, else p-adic lifting and rational
+    reconstruction, with the lifted vector checked exactly against every
+    row.  The operator is then re-verified against the series before
+    being returned.  A system whose unknowns^2 x rows exceeds
+    FIT_WORK_CAP raises ResourceLimit before any row is built.
     """
     unknowns = (r + 1) * (k + 1)
     n_terms = series.order + 1
     if n_terms < unknowns + _GUARD:
         raise InsufficientTerms(
             f"need {unknowns + _GUARD} coefficients for r={r} k={k}, have {n_terms}")
+    if unknowns ** 2 * n_terms > FIT_WORK_CAP:
+        raise ResourceLimit(f"fit with {unknowns} unknowns over {n_terms} rows costs "
+                            f"{unknowns ** 2 * n_terms} units of elimination work; "
+                            f"cap is {FIT_WORK_CAP}")
     # row n is sum_l P_l(n - l) f_(n-l) = 0, times the common denominator of f
     f, _ = _numerators(series.coeffs)
     rows = []

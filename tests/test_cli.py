@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import time
+from math import comb
 from pathlib import Path
 
 import mpmath as mp
@@ -106,6 +107,15 @@ class TestCoeffs:
         assert code == OK
         assert doc["table"][2] == "40"
 
+    def test_table_past_int_str_digit_limit(self, capsys):
+        # C(1458, 729)^10 has 4370 digits, past the interpreter's default
+        # limit of 4300 on int <-> str conversion
+        code, doc = run_json(capsys, "coeffs", "--family", "bcc", "--dim", "10",
+                             "--terms", "730")
+        assert code == OK
+        assert len(doc["table"]) == 730
+        assert int(doc["table"][-1]) == comb(1458, 729) ** 10
+
     def test_unknown_family(self, capsys):
         code, _, err = run(capsys, "coeffs", "--family", "kagome", "--dim", "2")
         assert code == USAGE
@@ -139,6 +149,15 @@ class TestCache:
         assert (tmp_path / "diamond-3.txt").exists()
         _, hit = run_json(capsys, *argv)
         assert stable(miss) == stable(hit)
+
+    def test_hit_past_int_str_digit_limit(self, capsys, tmp_path):
+        argv = ["coeffs", "--family", "bcc", "--dim", "10", "--terms", "730",
+                "--cache-dir", str(tmp_path)]
+        _, miss = run_json(capsys, *argv)
+        _, hit = run_json(capsys, *argv)
+        assert stable(miss) == stable(hit)
+        assert read_cache(str(tmp_path / "bcc-10.txt"))[2] == [
+            int(s) for s in miss["table"]]
 
     def test_short_cache_recomputed(self, capsys, tmp_path):
         argv = ["coeffs", "--family", "square", "--dim", "2",
@@ -430,6 +449,10 @@ class TestRunner:
         # the series sides of the identity checks need some 10^5 terms here
         *[(["eval", "bessel", "--check", check, "--d", "3", "--z", "0.9999"],
            LIMIT, "ResourceLimit") for check in ("sc", "diamond", "abel")],
+        # 1476 unknowns over 1500 rows: 3.3 10^9 units of elimination work,
+        # and some 2 10^6 big-integer row entries before it starts
+        (["ode", "fit", "--family", "square", "--dim", "2", "--terms", "1500",
+          "--order", "40", "--degree", "35"], LIMIT, "ResourceLimit"),
     ])
     def test_error_document(self, capsys, tmp_path, argv, code, error):
         bad = tmp_path / "bad.txt"

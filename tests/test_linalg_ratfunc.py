@@ -1,12 +1,16 @@
 """Support algebra: exact nullspaces, polynomials, rational functions."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latgreen import linalg
+from latgreen.lattices import LatticeSpec, coeffs
 from latgreen.linalg import nullspace_fraction, nullspace_modular, prime_stream
+from latgreen.ode import fit_ode
 from latgreen.ratfunc import Poly, RatFunc, poly_gcd, rational_roots
 
 Q = Fraction
@@ -46,8 +50,6 @@ def test_modular_matches_fraction():
 
 def test_modular_big_entries():
     # a planted rational kernel vector with huge integer data
-    import random
-
     rng = random.Random(7)
     v = [Q(rng.randrange(-99, 100), rng.randrange(1, 40)) for _ in range(6)]
     den = 1
@@ -68,6 +70,75 @@ def test_modular_big_entries():
     for b in basis:
         assert all(sum(Q(a) * x for a, x in zip(row, b)) == 0 for row in rows)
 
+
+@pytest.fixture
+def drawn_primes(monkeypatch):
+    """The primes nullspace_modular draws, counted as perfbench's tracer does."""
+    drawn = []
+    stream = linalg.prime_stream
+
+    def counted():
+        for p in stream():
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(linalg, "prime_stream", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("k,found", [(1, False), (2, True)])
+def test_one_prime_per_fit_shape(drawn_primes, k, found):
+    # sc3's minimal order-3 operator has degree 2: the k = 1 shape has an
+    # empty nullspace, proved by full rank mod one prime; k = 2 has nullity 1
+    series = coeffs(LatticeSpec("sc", 3), 24).as_series()
+    assert (fit_ode(series, 3, k) is not None) == found
+    assert len(drawn_primes) == 1
+
+
+def _unlucky_rows(p):
+    return [
+        [[1, 1], [1, 1 + p]],  # regular over Q, singular mod p
+        [[1, 1, 1], [1, 1 + p, 1 + 2 * p]],  # rank 2 over Q, 1 mod p
+        [[p, 1]],  # same rank, but the pivot moves to column 1 mod p
+    ]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_modular_skips_unlucky_prime(drawn_primes, case):
+    rows = _unlucky_rows(next(prime_stream()))[case]
+    ncols = len(rows[0])
+    assert nullspace_modular(rows, ncols) == nullspace_fraction(rows, ncols)
+    assert len(drawn_primes) == 2
+
+
+def test_modular_lifts_large_rationals():
+    # kernel (w_1/D, ..., w_5/D, 1) with 300-digit w_i and D: reconstruction
+    # needs p^k > 2 |w_i| D > 10^600, so at least 32 lifting steps at 62 bits
+    rng = random.Random(11)
+    den = rng.randrange(10 ** 300, 10 ** 301)
+    w = [rng.randrange(-10 ** 301, 10 ** 301) for _ in range(5)]
+    rows = []
+    for _ in range(7):
+        a = [rng.randrange(-9, 10) for _ in range(5)]
+        rows.append([den * x for x in a] + [-sum(x * y for x, y in zip(a, w))])
+    basis = nullspace_modular(rows, 6)
+    assert basis == nullspace_fraction(rows, 6)
+    assert all(len(str(abs(x.numerator))) >= 300 and len(str(x.denominator)) >= 300
+               for x in basis[0][:5])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 7), st.data())
+def test_modular_matches_fraction_low_rank(ncols, nrows, data):
+    rank = data.draw(st.integers(0, min(ncols, nrows)))
+    entries = st.integers(-20, 20)
+    left = data.draw(st.lists(st.lists(entries, min_size=rank, max_size=rank),
+                              min_size=nrows, max_size=nrows))
+    right = data.draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                               min_size=rank, max_size=rank))
+    rows = [[sum(a * right[k][j] for k, a in enumerate(l)) for j in range(ncols)]
+            for l in left]
+    assert nullspace_modular(rows, ncols) == nullspace_fraction(rows, ncols)
 
 def test_poly_divmod_gcd():
     x = Poly.x()
