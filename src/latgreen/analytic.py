@@ -13,14 +13,18 @@ closed forms, the 2F1(1/2, 1/2; 1; m) of the algebraic diamond form and
 the 4d double elliptic integral) is (2/pi) K(m) from one function,
 two_over_pi_K, by mpmath's AGM.  Every lattice series at |z| < 1 (the
 honeycomb maps and the series sides of the Bessel and Abel identities)
-is summed by lgf_series_eval, whose term count follows prec and |z|.
-Every hypergeometric-type sum (pFq, and the hyper-bcc P(0;1)) takes its
-terms from one generator, _hyper_terms, with integer term ratios.  The
-half-circle integrals (Abel, Bessel connection, 4d double elliptic) are
-all (2/pi) int_0^(pi/2) f(sin phi) dphi with f even and analytic, and
-run by one periodic trapezoid rule, _quarter_period_mean, which
-converges geometrically on such integrands; the [0, inf) Laplace and K0
-integrals stay on mp.quad.
+is summed by lgf_series_eval, whose term count follows prec and |z| by
+one rule, _terms_below_one; the convention tables below follow the same
+rule.  Every hypergeometric-type sum (pFq, and the hyper-bcc P(0;1))
+takes its terms from one generator, _hyper_terms, with integer term
+ratios.  The half-circle integrals (Abel, Bessel connection, 4d double
+elliptic) are all (2/pi) int_0^(pi/2) f(sin phi) dphi with f even and
+analytic, and run by one periodic trapezoid rule, _quarter_period_mean,
+which converges geometrically on such integrands; the [0, inf) Laplace
+and K0 integrals stay on mp.quad.  K0 itself comes from _k0, the ascending
+series (DLMF 10.31.2) below t = 1.2 (dps + 5) and the asymptotic series
+(DLMF 10.40.2, remainder bound 10.40.10) above it, in place of mpmath's
+generic besselk; I0 stays on mp.besseli.
 
 Elliptic-argument conventions are a minefield: the source formulas write
 K(k) in some places and feed k^2-type expressions in others.  Every
@@ -174,6 +178,15 @@ def _series_terms(spec: LatticeSpec, table, z):
     return [mp.mpf(a) * zq ** (s * m) for m, a in enumerate(table.values)]
 
 
+def _terms_below_one(spec: LatticeSpec, z, prec: int) -> int:
+    """The term rule for P(0; z) at |z| < 1: the terms fall by
+    rate = -s log10|z| digits each, so int(prec/rate) + 20 of them; 40 at
+    z = 0."""
+    if z == 0:
+        return 40
+    return int(prec / (-spec.steps_per_index * mp.log10(abs(z)))) + 20
+
+
 def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = None,
                     tail: str = "none") -> EvalResult:
     """Partial sum of P(0; z) = sum a_n (z/q)^n with an error estimate.
@@ -204,11 +217,7 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
             ts = list(islice(_hyper_terms([Q(1, 2)] * d, [Q(1)] * (d - 1)), terms + 1))
         else:
             if terms is None:
-                if at_one:
-                    terms = 400
-                else:
-                    rate = -s * mp.log10(abs(z)) if z != 0 else mp.inf
-                    terms = 40 if rate == mp.inf else int(prec / rate) + 20
+                terms = 400 if at_one else _terms_below_one(spec, z, prec)
                 if terms > _TERM_CAP:
                     raise ResourceLimit(f"{terms} terms needed; cap is {_TERM_CAP}")
             ts = _series_terms(spec, coeffs(spec, terms), z)
@@ -376,9 +385,9 @@ def _resolve(form_id: str, prec: int = 30) -> str:
     spec = _AMBIGUOUS_EVAL[form_id][1]
     winners = []
     with mp.workdps(_dps(prec)):
-        table = coeffs(spec, 260)
-        refs = [(z, mp.fsum(_series_terms(spec, table, z)))
-                for z in (mp.mpf("0.1"), mp.mpf("0.2"))]
+        points = (mp.mpf("0.1"), mp.mpf("0.2"))
+        table = coeffs(spec, _terms_below_one(spec, points[-1], prec))
+        refs = [(z, mp.fsum(_series_terms(spec, table, z))) for z in points]
         for convention in ("modulus", "parameter"):
             if all(_contract_check(_ambiguous_value(form_id, z, prec, convention), ref, prec)
                    for z, ref in refs):
@@ -573,6 +582,55 @@ def _quarter_period_mean(f, prec: int):
             f"trapezoid sums still differ by {mp.nstr(diff, 3)} at {panels} panels")
 
 
+def _k0(t):
+    """K0(t) for t > 0 at the caller's working precision.
+
+    Below t = 1.2 (dps + 5) it is the ascending series (DLMF 10.31.2)
+    K0(t) = -(ln(t/2) + gamma) I0(t) + sum_(k>=1) (t^2/4)^k H_k / (k!)^2,
+    with I0(t) = sum_k (t^2/4)^k / (k!)^2 from the same terms.  Both sums
+    are about e^t while K0 is about e^-t, so they are taken in fixed point
+    with 0.87 t + 8 extra digits, which cover the cancellation of e^(2t).
+    Above it is the asymptotic series (DLMF 10.40.2)
+    K0(t) = sqrt(pi/(2t)) e^-t sum_k (-1)^k ((2k-1)!!)^2 / (k! (8t)^k),
+    stopped at the first term below the working epsilon or before the
+    least term, whichever comes first; by DLMF 10.40.10 the remainder is
+    no larger than the first neglected term.  At the branch point the
+    least term, near k = 2t, is already below 10^-(dps + 5).
+    """
+    t = mp.mpf(t)
+    dps = mp.mp.dps
+    if t < mp.mpf("1.2") * (dps + 5):
+        with mp.workdps(dps + int(mp.mpf("0.87") * t) + 8):
+            wp = mp.mp.prec
+            one = 1 << wp
+            q = int(mp.ldexp(t * t, wp - 2))
+            term = i0 = one
+            h = s = 0
+            k = 0
+            while term:
+                k += 1
+                term = (term * q >> wp) // (k * k)
+                h += one // k
+                i0 += term
+                s += term * h >> wp
+            value = mp.ldexp(s, -wp) - (mp.log(t / 2) + mp.euler) * mp.ldexp(i0, -wp)
+        return +value
+    with mp.workdps(dps + 3):
+        wp = mp.mp.prec
+        x = int(mp.ldexp(8 * t, wp))
+        term = total = 1 << wp
+        k = 0
+        while term:
+            k += 1
+            nxt = (term * (2 * k - 1) ** 2 << wp) // (k * x)
+            if nxt >= term:
+                break
+            term = nxt
+            total += -term if k % 2 else term
+        value = mp.sqrt(mp.pi / (2 * t)) * mp.exp(-t) * mp.ldexp(total, -wp)
+    return +value
+
+
 def _laplace_sc(d: int, z, prec: int):
     # int_0^inf e^-t I0(zt/d)^d dt, the d-cubic P(z) as a Laplace integral
     value, _ = quadrature(lambda t: mp.e ** (-t) * mp.besseli(0, z * t / d) ** d,
@@ -602,7 +660,7 @@ def bessel_diamond_check(d: int, z, prec: int = 25) -> IdentityCheck:
             raise DomainError("integral converges for 0 <= z < 1")
         rhs = lgf_series_eval(LatticeSpec("diamond", d), z, prec).value
         lhs, _ = quadrature(
-            lambda t: t * mp.besseli(0, z * t / (d + 1)) ** (d + 1) * mp.besselk(0, t),
+            lambda t: t * mp.besseli(0, z * t / (d + 1)) ** (d + 1) * _k0(t),
             [0, mp.inf], prec)
         return _contract_check(lhs, rhs, prec)
 
@@ -624,7 +682,7 @@ def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
 
         def besselk0(t):
             if t not in k0:
-                k0[t] = mp.besselk(0, t)
+                k0[t] = _k0(t)
             return k0[t]
 
         def outer(u):
@@ -818,7 +876,9 @@ def _jensen(poly: dict, tiny=0):
         cs.pop()
     if len(cs) == 1:
         return mp.log(abs(cs[0]))
-    if len(cs) == 3:
+    if len(cs) == 2:
+        roots = [-cs[0] / cs[1]]
+    elif len(cs) == 3:
         # quadratics by the stable formula; Durand-Kerner stalls on the
         # (near-)double roots the quadrature nodes land on
         c, b, a = cs

@@ -253,11 +253,14 @@ def _verify_nullspace(rows: Sequence[Sequence[int]], w: list[int]) -> bool:
     return all(sum(map(mul, r, w)) == 0 for r in rows)
 
 
-def nullspace_modular(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fraction]]:
+def nullspace_modular(rows: Sequence[Sequence[int]], ncols: int,
+                      limit: int | None = None) -> list[list[Fraction]]:
     """Exact rational nullspace of an integer matrix by p-adic lifting.
 
     Same basis and convention as nullspace_fraction.  One prime serves
-    unless it is unlucky (see the module docstring).
+    unless it is unlucky (see the module docstring).  With `limit`, only
+    the first `limit` basis vectors are lifted: each is verified against
+    every row, so `limit` of them prove a nullity of at least `limit`.
     """
     for p in prime_stream():
         order, pivots, mat = _eliminate_mod(rows, ncols, p)
@@ -270,6 +273,8 @@ def nullspace_modular(rows: Sequence[Sequence[int]], ncols: int) -> list[list[Fr
             if w is None or any(w[c] for c in pivots if c > fc):
                 break  # p lost rank, or its pivots are not those over Q
             basis.append([Q(v, w[fc]) for v in w])
+            if len(basis) == limit:
+                return basis
         else:
             return basis
     raise FitFailure("prime stream ended")

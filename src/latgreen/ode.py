@@ -359,9 +359,11 @@ def fit_ode(series: PowerSeries, r: int, k: int, note: str = "") -> ThetaOperato
     solved by the modular route: one elimination mod p, which proves an
     empty nullspace by full rank, else p-adic lifting and rational
     reconstruction, with the lifted vector checked exactly against every
-    row.  The operator is then re-verified against the series before
-    being returned.  A system whose unknowns^2 x rows exceeds
-    FIT_WORK_CAP raises ResourceLimit before any row is built.
+    row.  Lifting stops at the second verified vector, which already
+    proves the shape too generous (FitFailure).  The operator is then
+    re-verified against the series before being returned.  A system
+    whose unknowns^2 x rows exceeds FIT_WORK_CAP raises ResourceLimit
+    before any row is built.
     """
     unknowns = (r + 1) * (k + 1)
     n_terms = series.order + 1
@@ -383,12 +385,12 @@ def fit_ode(series: PowerSeries, r: int, k: int, note: str = "") -> ThetaOperato
                 row[j] = pw
                 pw *= m
         rows.append(row)
-    basis = nullspace_modular(rows, unknowns)
+    basis = nullspace_modular(rows, unknowns, limit=2)
     if not basis:
         return None
     if len(basis) > 1:
         raise FitFailure(
-            f"nullspace dimension {len(basis)} for r={r} k={k}: shape too generous")
+            f"nullspace dimension at least 2 for r={r} k={k}: shape too generous")
     v = basis[0]
     op = ThetaOperator([[v[l * (r + 1) + j] for j in range(r + 1)]
                         for l in range(k + 1)], note=note)

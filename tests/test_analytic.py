@@ -449,6 +449,20 @@ class TestQuadrature:
             v, _ = quadrature(lambda t: t ** 3 * mp.besselk(0, t), [0, mp.inf], 25)
             assert abs(v - 4) < mp.mpf("1e-22")
 
+    @pytest.mark.parametrize("dps", [15, 22, 40, 60])
+    def test_k0_matches_mpmath(self, dps):
+        # both branches, and both sides of the switch at t = 1.2 (dps + 5)
+        switch = mp.mpf("1.2") * (dps + 5)
+        grid = ["1e-8", "1e-3", "0.5", "1", "5", "20", "100", "1e3", "1e4",
+                switch * (1 - mp.mpf("1e-6")), switch, switch * (1 + mp.mpf("1e-6"))]
+        for t in grid:
+            with mp.workdps(dps):
+                t = mp.mpf(t)
+                v = analytic._k0(t)
+            with mp.workdps(dps + 20):
+                ref = mp.besselk(0, t)
+                assert abs(v - ref) <= mp.mpf(10) ** (1 - dps) * ref, (dps, t)
+
     def test_i0_at_zero(self):
         # I0(0) = 1, so at z = 0 the Laplace form of P is int e^-t dt = 1
         with mp.workdps(40):
@@ -511,13 +525,13 @@ class TestBesselIdentities:
 
     def test_connection_evaluates_k0_once_per_node(self, monkeypatch):
         args = []
-        besselk = mp.besselk
+        k0 = analytic._k0
 
-        def counting(n, t):
+        def counting(t):
             args.append(t)
-            return besselk(n, t)
+            return k0(t)
 
-        monkeypatch.setattr(mp, "besselk", counting)
+        monkeypatch.setattr(analytic, "_k0", counting)
         c = bessel_connection_check(3, "0.4", 5)
         assert bool(c)
         with mp.workdps(30):
@@ -716,6 +730,21 @@ class TestMahlerMeasure:
             third = mp.mpf(1) / 3
             ref = mp.sqrt(3) * (mp.psi(1, third) - mp.psi(1, 2 * third)) / (12 * mp.pi)
             assert 0 < abs(v - ref) <= err
+
+    @pytest.mark.parametrize("prec", [12, 20, 30])
+    def test_linear_jensen_takes_the_root(self, prec, monkeypatch):
+        # a linear inner polynomial has the one root -c0/c1: no polyroots
+        def refused(*args, **kwargs):
+            raise AssertionError("polyroots called on a linear polynomial")
+
+        monkeypatch.setattr(mp, "polyroots", refused)
+        v, _ = log_mahler_measure({(1,): 2, (0,): -3}, prec)
+        w, _ = log_mahler_measure({(0, 0): 1, (1, 0): 1, (0, 1): 1}, prec)
+        with mp.workdps(prec + 20):
+            assert abs(v - mp.log(3)) <= mp.mpf(10) ** (2 - prec) * mp.log(3)
+            third = mp.mpf(1) / 3
+            ref = mp.sqrt(3) * (mp.psi(1, third) - mp.psi(1, 2 * third)) / (12 * mp.pi)
+            assert abs(w - ref) <= mp.mpf(10) ** (2 - prec) * ref
 
     def test_two_variable_form_of_one_variable_polynomial(self):
         # x^2 - 3x + 1 written in (x, y): the same Jensen value at every y

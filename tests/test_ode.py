@@ -10,6 +10,7 @@ from math import comb
 
 import pytest
 
+from latgreen import linalg
 from latgreen.errors import (
     FitFailure,
     InsufficientTerms,
@@ -314,8 +315,25 @@ def test_fit_no_operator_of_shape():
 def test_fit_shape_too_generous():
     # bcc4's operator has degree 1, so degree 2 also admits z times it
     series = PowerSeries([comb(2 * n, n) ** 4 for n in range(41)])
-    with pytest.raises(FitFailure, match="nullspace dimension 2"):
+    with pytest.raises(FitFailure, match="nullspace dimension at least 2"):
         fit_ode(series, 4, 2)
+
+
+def test_generous_shape_lifts_two_vectors(monkeypatch):
+    # at degree 3 the nullity is 3 (the operator times 1, z and z^2), but
+    # two verified vectors already prove the shape too generous
+    lifts = []
+    lift = linalg._PivotBlock.lift
+
+    def counting(block, fc):
+        lifts.append(fc)
+        return lift(block, fc)
+
+    monkeypatch.setattr(linalg._PivotBlock, "lift", counting)
+    series = PowerSeries([comb(2 * n, n) ** 4 for n in range(41)])
+    with pytest.raises(FitFailure, match="at least 2"):
+        fit_ode(series, 4, 3)
+    assert len(lifts) <= 2
 
 
 # -- indicial data ------------------------------------------------------------
