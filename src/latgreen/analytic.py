@@ -15,13 +15,14 @@ two_over_pi_K, by mpmath's AGM.  Every lattice series at |z| < 1 (the
 honeycomb maps and the series sides of the Bessel and Abel identities)
 is summed by lgf_series_eval, whose term count follows prec and |z| by
 one rule, _terms_below_one; the convention tables below follow the same
-rule.  Every hypergeometric-type sum (pFq, and the hyper-bcc P(0;1))
-takes its terms from one generator, _hyper_terms, with integer term
-ratios.  The half-circle integrals (Abel, Bessel connection, 4d double
-elliptic) are all (2/pi) int_0^(pi/2) f(sin phi) dphi with f even and
-analytic, and run by one periodic trapezoid rule, _quarter_period_mean,
-which converges geometrically on such integrands; the [0, inf) Laplace
-and K0 integrals stay on mp.quad.  K0 itself comes from _k0, the ascending
+rule.  pFq_eval and the hyper-bcc P(0;1) take their terms from one
+generator, _hyper_terms, with integer term ratios; the single-3F2 forms
+of rogers_3f2 are the exception and call mpmath's hyper.  The
+half-circle integrals (Abel, Bessel connection, 4d double elliptic) are
+all (2/pi) int_0^(pi/2) f(sin phi) dphi with f even and analytic, and
+run by one periodic trapezoid rule, _quarter_period_mean, which
+converges geometrically on such integrands; the [0, inf) Laplace and K0
+integrals stay on mp.quad.  K0 itself comes from _k0, the ascending
 series (DLMF 10.31.2) below t = 1.2 (dps + 5) and the asymptotic series
 (DLMF 10.40.2, remainder bound 10.40.10) above it, in place of mpmath's
 generic besselk; I0 stays on mp.besseli.
@@ -737,46 +738,31 @@ def abel_forward_check(d: int, z, prec: int = 20):
 
 @dataclass(frozen=True)
 class RamanujanSeries:
-    """sum_n (A n + B) x0^n a_n with everything in Q(sqrt(3)); a_n is the
-    return-count table of lattice."""
+    """sum_n (A n + B) x0^n a_n = c/pi with A, B, x0 and c in Q(sqrt(3));
+    a_n is the return-count table of lattice."""
 
     lattice: LatticeSpec
     a: QSqrt3            # A
     b: QSqrt3            # B
     x0: QSqrt3
-    target_label: str
+    c: QSqrt3
 
-    def target(self):
-        # targets are c1/pi + c2*sqrt(3)/pi, encoded in the label
-        return _RAMANUJAN_TARGETS[self.target_label]()
-
-
-_RAMANUJAN_TARGETS = {
-    "2/pi": lambda: 2 / mp.pi,
-    "8*sqrt(3)/(3*pi)": lambda: 8 * mp.sqrt(3) / (3 * mp.pi),
-    "(9+5*sqrt(3))/pi": lambda: (9 + 5 * mp.sqrt(3)) / mp.pi,
-    "2*(64+29*sqrt(3))/pi": lambda: 2 * (64 + 29 * mp.sqrt(3)) / mp.pi,
-    "4/pi": lambda: 4 / mp.pi,
-    "16/pi": lambda: 16 / mp.pi,
-}
 
 _DIAMOND3, _SC3, _BCC3 = LatticeSpec("diamond", 3), LatticeSpec("sc", 3), LatticeSpec("bcc", 3)
 
 _RAMANUJAN = {
     "diam-32": RamanujanSeries(_DIAMOND3, QSqrt3(3), QSqrt3(1),
-                               QSqrt3(Q(-1, 32)), "2/pi"),
+                               QSqrt3(Q(-1, 32)), QSqrt3(2)),
     "diam-64": RamanujanSeries(_DIAMOND3, QSqrt3(5), QSqrt3(1),
-                               QSqrt3(Q(1, 64)), "8*sqrt(3)/(3*pi)"),
+                               QSqrt3(Q(1, 64)), QSqrt3(0, Q(8, 3))),
     "diam-sqrt3": RamanujanSeries(_DIAMOND3, QSqrt3(6), QSqrt3(3, -1),
-                                  QSqrt3(Q(-5, 4), Q(3, 4)),
-                                  "(9+5*sqrt(3))/pi"),
+                                  QSqrt3(Q(-5, 4), Q(3, 4)), QSqrt3(9, 5)),
     "sc-484": RamanujanSeries(_SC3, QSqrt3(520), QSqrt3(159, -48),
-                              QSqrt3(Q(-139, 484), Q(20, 121)),
-                              "2*(64+29*sqrt(3))/pi"),
+                              QSqrt3(Q(-139, 484), Q(20, 121)), QSqrt3(128, 58)),
     "bcc-256": RamanujanSeries(_BCC3, QSqrt3(6), QSqrt3(1),
-                               QSqrt3(Q(1, 256)), "4/pi"),
+                               QSqrt3(Q(1, 256)), QSqrt3(4)),
     "bcc-4096": RamanujanSeries(_BCC3, QSqrt3(42), QSqrt3(5),
-                                QSqrt3(Q(1, 4096)), "16/pi"),
+                                QSqrt3(Q(1, 4096)), QSqrt3(16)),
 }
 
 RAMANUJAN_IDS = tuple(_RAMANUJAN)
@@ -816,7 +802,7 @@ def ramanujan_eval(series_id: str, terms: int, prec: int = 30):
     acc = _ramanujan_sum(s.a, s.b, s.x0, coeffs(s.lattice, terms), terms)
     with mp.workdps(_dps(prec)):
         partial = _surd_to_mpf(acc, prec)
-        target = s.target()
+        target = s.c.to_mpf() / mp.pi
         return partial, target, abs(partial - target)
 
 
@@ -825,22 +811,18 @@ def ramanujan_general_form_check(prec: int = 64) -> VerifyReport:
 
     alpha, beta, and x0 = -z0^2/36 live in Q(sqrt(3)); the termwise
     combination (alpha + beta n) a_n x0^n reproduces the printed
-    Ramanujan multipliers exactly, which is asserted as a surd identity
-    before any floating point enters.
+    Ramanujan multipliers of series sc-484 exactly, which is asserted as a
+    surd identity before any floating point enters.
     """
     alpha = QSqrt3(Q(1104, 242), Q(-591, 242))
     beta = QSqrt3(Q(1280, 121), Q(-580, 121))
-    x0 = QSqrt3(Q(-139, 484), Q(20, 121))
-    # exact consistency with the (520n + 159 - 48 sqrt3) multipliers:
-    # (alpha + beta n) * 2(64 + 29 sqrt3) == 520n + 159 - 48 sqrt3
-    scale = QSqrt3(128, 58)
+    s = _RAMANUJAN["sc-484"]
+    # exact consistency with the printed multipliers: (alpha + beta n) c == A n + B
     for n in (0, 1, 7):
-        got = (alpha + beta * n) * scale
-        want = QSqrt3(520 * n + 159, -48)
-        if got != want:
+        if (alpha + beta * n) * s.c != s.a * n + s.b:
             return VerifyReport(False, n, note="termwise multiplier mismatch")
     terms = max(80, int(prec / 1.4) + 20)
-    combo = _ramanujan_sum(beta, alpha, x0, coeffs(_SC3, terms), terms)
+    combo = _ramanujan_sum(beta, alpha, s.x0, coeffs(s.lattice, terms), terms)
     with mp.workdps(_dps(prec)):
         value = _surd_to_mpf(combo, prec)
         check = _contract_check(value, 1 / mp.pi, prec)

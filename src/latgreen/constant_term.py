@@ -9,8 +9,8 @@ ct_sequence walks the class masses of K^m under the kernel's symmetry
 group only up to m = ceil(n/2) and reads each CT[K^n] off two adjacent
 powers, pairing every class with its mirror class.  class_bound counts,
 before any work, how many classes that walk can hold at its top power.
-A request over the class budget, or whose work bound (powers x classes
-x kernel terms) exceeds CT_WORK_CAP, raises ResourceLimit.
+One cap, CT_WORK_CAP, bounds the walk's work (powers x classes x kernel
+terms) and with it the classes held; a request past it raises ResourceLimit.
 
 The registry kernels are read from the family definitions in
 latgreen.lattices.  The diamond form (1 + sum_i x_i)(1 + sum_i 1/x_i)
@@ -35,7 +35,6 @@ from .errors import ResourceLimit, UnsupportedTerm
 from .lattices import LatticeSpec
 from .reports import VerifyReport
 
-DEFAULT_BUDGET = 50_000_000  # classes held at one power
 CT_WORK_CAP = 10 ** 8  # powers x classes x kernel terms one walk may cost
 
 
@@ -304,8 +303,8 @@ def class_bound(kspec: KernelSpec, power: int, cap: int | None = None) -> int:
     (vectors under no symmetry, multisets of entries under permutations,
     of |entries| under sign flips too) by generating functions in x^|e|_1,
     truncated past power * rho.  With cap, when the classes whose entries
-    all have |e_i| <= power * rho / d (a closed-form count) already number
-    more than cap, that count is returned instead, without the recurrence."""
+    all have |e_i| <= power * rho / d (a closed-form count, at least 1)
+    already number more than cap, that count is returned instead."""
     K, d = kspec.kernel, kspec.kernel.nvars
     top = power * max(sum(map(abs, e)) for e in K.terms)
     runs = _entry_runs(K, power)
@@ -313,7 +312,7 @@ def class_bound(kspec: KernelSpec, power: int, cap: int | None = None) -> int:
         runs = [r[:1] for r in runs]     # |e_i| >= 0 covers e_i < 0 as well
     # the classes with every |e_i| <= top // d, all within |e|_1 <= top
     low = [sum(min(n, (top // d - a) // g + 1) for a, g, n in r if a <= top // d) for r in runs]
-    floor = prod(low) if kspec.symmetry == "none" else comb(low[0] + d - 1, d)
+    floor = max(1, prod(low) if kspec.symmetry == "none" else comb(low[0] + d - 1, d))
     if cap is not None and floor > cap:
         return floor
     if kspec.symmetry == "none":
@@ -350,20 +349,18 @@ def ct_sequence(kspec: KernelSpec, n_max: int) -> list[int]:
     and m are held.  The lookup at canon(-k) keeps this exact for
     kernels with K(1/x) != K(x).
 
-    Raises ResourceLimit before any work when class_bound at power M
-    exceeds DEFAULT_BUDGET, or when M x class_bound x the kernel's term count,
-    which bounds the walk's work, exceeds CT_WORK_CAP.
+    Raises ResourceLimit before any work when M x class_bound at power M
+    x the kernel's term count, the walk's work bound, exceeds CT_WORK_CAP;
+    class_bound stops counting once the classes alone pass that cap.
     """
     K = kspec.kernel
     half = (n_max + 1) // 2
-    classes = class_bound(kspec, half, DEFAULT_BUDGET)
-    if classes > DEFAULT_BUDGET:
-        raise ResourceLimit(f"CT to n = {n_max} walks to power {half}, whose class "
-                            f"bound exceeds the budget of {DEFAULT_BUDGET} classes")
-    if half * classes * len(K.terms) > CT_WORK_CAP:
-        raise ResourceLimit(f"CT to n = {n_max} walks {half} powers over up to {classes} "
-                            f"classes and {len(K.terms)} kernel terms, over the work "
-                            f"cap of {CT_WORK_CAP}")
+    unit = max(1, half * len(K.terms))
+    classes = class_bound(kspec, half, CT_WORK_CAP // unit)
+    if unit * classes > CT_WORK_CAP:
+        raise ResourceLimit(f"CT to n = {n_max} walks {half} powers over a class bound "
+                            f"of at least {classes} classes and {len(K.terms)} kernel "
+                            f"terms, over the work cap of {CT_WORK_CAP}")
     canon = _canon(kspec.symmetry)
     pair = _mirror_and_orbit(kspec.symmetry, K.nvars)
     steps = list(K.terms.items())

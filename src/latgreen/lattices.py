@@ -16,8 +16,9 @@ per family:
     entries can be nonzero.
 
 The structure sums S_n^(d) = sum_m C(n,m)^2 S_m^(d-1), S_n^(1) = 1,
-generate the hyper-diamond counts directly and enter the hypercubic and
-fcc formulas; they are computed once per (d, N) by the recurrence.
+generate the hyper-diamond counts directly and enter the hypercubic
+formulas; they are computed once per (d, N) by the recurrence.  The
+triangular and 3d fcc tables are one pull-back of them, _pullback.
 
 Kernels that are elementary symmetric functions of the cosines (sc,
 bcc, fcc and triples4) share one exact route, esym_table, which peels
@@ -227,12 +228,11 @@ def s5_double_sum(n: int) -> int:
 # family generators
 
 
-def _triangular_table(n_max: int) -> list[int]:
-    return binomial_transform([honeycomb_binomial_sum(j) for j in range(n_max + 1)], -3)
-
-
-def _fcc3_table(n_max: int) -> list[int]:
-    return binomial_transform(structure_sums(4, n_max), -4)
+def _pullback(d: int, n_max: int) -> list[int]:
+    """The all-step table of triangular (d = 2) or fcc (d = 3) from the
+    table S^(d+1) of the two-site lattice of the same dimension (honeycomb,
+    diamond): its binomial transform with weight (-(d+1))^(n-j)."""
+    return binomial_transform(structure_sums(d + 1, n_max), -(d + 1))
 
 
 def esym_table(k: int, d: int, n_max: int) -> list[int]:
@@ -510,7 +510,7 @@ def coeffs(spec: LatticeSpec, n_max: int) -> CoeffTable:
     elif f in ("square", "bcc"):
         vals = [comb(2 * n, n) ** d for n in range(n_max + 1)]
     elif f == "triangular":
-        vals = _triangular_table(n_max)
+        vals = _pullback(2, n_max)
     elif f in ("sc", "sincos4"):
         s = structure_sums(d, n_max)
         vals = [comb(2 * n, n) * s[n] for n in range(n_max + 1)]
@@ -519,13 +519,11 @@ def coeffs(spec: LatticeSpec, n_max: int) -> CoeffTable:
             # degenerate: the 2d face-centred lattice is the square lattice
             vals = [0 if n % 2 else comb(n, n // 2) ** 2 for n in range(n_max + 1)]
         elif d == 3:
-            vals = _fcc3_table(n_max)
+            vals = _pullback(3, n_max)
         else:
             vals = esym_table(2, d, n_max)
-    elif f == "triples4":
+    else:  # triples4; LatticeSpec admits no other family
         vals = triples4_table(n_max)
-    else:  # pragma: no cover
-        raise UnsupportedLattice(f)
     return CoeffTable(spec, tuple(vals))
 
 
@@ -538,16 +536,14 @@ def relation_triangular_from_honeycomb(n_max: int) -> VerifyReport:
     transform with weight (-3)^(n-j), checked exactly against the counts
     derived from the triangular step kernel."""
     tri = cosine_integer_table("triangular", n_max)
-    derived = _triangular_table(n_max)
-    return _compare(tri, derived, "triangular from honeycomb")
+    return _compare(tri, _pullback(2, n_max), "triangular from honeycomb")
 
 
 def relation_fcc_from_diamond(n_max: int) -> VerifyReport:
     """fcc counts from diamond ones, weight (-4)^(n-j), against the
     counts derived from the fcc step kernel."""
     fcc = cosine_integer_table("fcc3", n_max)
-    derived = _fcc3_table(n_max)
-    return _compare(fcc, derived, "fcc from diamond")
+    return _compare(fcc, _pullback(3, n_max), "fcc from diamond")
 
 
 def relation_sc_from_hyperdiamond(d: int, n_max: int) -> VerifyReport:

@@ -667,18 +667,21 @@ def cy_conditions_report(op: ThetaOperator, n_max: int) -> list[ConditionReport]
     own pass/fail record.  Condition two is checked through the equivalent
     Wronskian identity; condition five reports the minimal integral scale s
     and requires it to be stable between depth/2 and depth."""
+    def show(exponents) -> str:
+        return f"[{', '.join(map(str, exponents))}]"
+
     out: list[ConditionReport] = []
     ind = indicial(op)
     out.append(ConditionReport(
         "one: maximal unipotent monodromy", ind.mum,
-        detail=f"exponents at 0: {list(ind.exponents_zero)}"
+        detail=f"exponents at 0: {show(ind.exponents_zero)}"
                + ("" if ind.zero_complete else " (plus irrational exponents)")))
     if op.order != 4 or not ind.mum:
         out.append(ConditionReport("two: Wronskian identity w03 = w12", False,
                                    detail="not an order-4 MUM operator"))
         out.append(ConditionReport(
             "three: exponents at infinity", ind.condition_three,
-            detail=f"exponents at infinity: {list(ind.exponents_infinity)}"))
+            detail=f"exponents at infinity: {show(ind.exponents_infinity)}"))
         out.append(ConditionReport("four: integral holomorphic solution", False,
                                    detail="skipped"))
         out.append(ConditionReport("five: integral instanton numbers", False,
@@ -687,10 +690,9 @@ def cy_conditions_report(op: ThetaOperator, n_max: int) -> list[ConditionReport]
     w = wronskian_cy_check(op, n_max)
     out.append(ConditionReport("two: Wronskian identity w03 = w12", bool(w),
                                detail=f"checked through order {w.checked_through}"))
-    lam = list(ind.exponents_infinity)
     out.append(ConditionReport(
         "three: exponents at infinity", ind.condition_three,
-        detail=f"lambda = {lam}; lam1+lam4 = lam2+lam3 "
+        detail=f"lambda = {show(ind.exponents_infinity)}; lam1+lam4 = lam2+lam3 "
                f"{'holds' if ind.condition_three else 'fails'}"))
     y0 = op.series_solution(n_max)
     integral = all(cn.denominator == 1 for cn in y0.coeffs)

@@ -746,6 +746,13 @@ class TestMahlerMeasure:
             ref = mp.sqrt(3) * (mp.psi(1, third) - mp.psi(1, 2 * third)) / (12 * mp.pi)
             assert abs(w - ref) <= mp.mpf(10) ** (2 - prec) * ref
 
+    def test_cubic_jensen_by_polyroots(self):
+        # x^3 - x - 1: the one root outside the circle is the plastic number
+        v, _ = log_mahler_measure({(0,): -1, (1,): -1, (3,): 1}, 30)
+        with mp.workdps(50):
+            rho = mp.findroot(lambda x: x ** 3 - x - 1, mp.mpf("1.3247"))
+            assert abs(v - mp.log(rho)) <= mp.mpf(10) ** (2 - 30) * mp.log(rho)
+
     def test_two_variable_form_of_one_variable_polynomial(self):
         # x^2 - 3x + 1 written in (x, y): the same Jensen value at every y
         v1, err1 = log_mahler_measure({(2,): 1, (1,): -3, (0,): 1}, 20)

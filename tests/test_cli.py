@@ -256,6 +256,23 @@ class TestOde:
         assert code == OK
         assert len(doc["conditions"]) == 5
         assert all(c["passed"] for c in doc["conditions"])
+        assert doc["conditions"][2]["detail"].startswith("lambda = [1/2, 1, 1, 3/2];")
+
+    def test_cy_report_sc3(self, capsys):
+        # an order-3 operator: MUM holds, and condition three needs four
+        # exponents at infinity
+        code, doc = run_json(capsys, "ode", "cy-report", "sc3")
+        assert code == FAIL
+        passed = [c["passed"] for c in doc["conditions"]]
+        assert passed == [True, False, False, False, False]
+        details = [c["detail"] for c in doc["conditions"]]
+        assert details[0] == "exponents at 0: [0, 0, 0]"
+        assert details[2] == "exponents at infinity: [1/2, 1, 3/2]"
+
+    def test_verify_iwan3(self, capsys):
+        code, doc = run_json(capsys, "ode", "verify", "iwan3", "--terms", "30")
+        assert code == OK and doc["passed"]
+        assert doc["series_source"] == "table"
 
     def test_wronskian_bcc4(self, capsys):
         code, doc = run_json(capsys, "ode", "wronskian", "bcc4", "--terms", "25")

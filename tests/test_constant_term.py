@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 from latgreen import constant_term
 from latgreen.constant_term import (
     CT_WORK_CAP,
-    DEFAULT_BUDGET,
     KernelSpec,
     LaurentPoly,
     class_bound,
@@ -173,14 +172,16 @@ def test_class_bound_refuses_before_work():
     # few classes, but hours of walk work
     with pytest.raises(ResourceLimit, match="work cap"):
         ct_series(kernel("bcc", 2), 5000)
+    # one class per power, but more powers than the cap: refused without
+    # counting classes over an L1 range of 1.5 10^8
+    with pytest.raises(ResourceLimit, match="work cap"):
+        ct_sequence(KernelSpec(parse_kernel("1 1 0\n")), 3 * 10 ** 8)
     assert time.perf_counter() - start < 2
     # the largest requests of the tests and the benchmark are admitted
     for family, d, n in [("diamond", 5, 20), ("bcc", 5, 20), ("sc", 2, 30), ("bcc", 6, 8)]:
         ks, p = kernel(family, d), LatticeSpec(family, d).powers_per_index
         half = (p * n + 1) // 2
-        classes = class_bound(ks, half, DEFAULT_BUDGET)
-        assert classes <= DEFAULT_BUDGET
-        assert half * classes * len(ks.kernel.terms) <= CT_WORK_CAP
+        assert half * class_bound(ks, half) * len(ks.kernel.terms) <= CT_WORK_CAP
 
 
 def test_ct_power_matches_sequence():
@@ -266,14 +267,15 @@ def test_single_site_ct_bounded_by_all_walks():
 
 
 def test_budget_limit(monkeypatch):
-    # ct_sequence reads DEFAULT_BUDGET when it is called
-    monkeypatch.setattr(constant_term, "DEFAULT_BUDGET", 5)
+    # ct_sequence reads CT_WORK_CAP when it is called
+    monkeypatch.setattr(constant_term, "CT_WORK_CAP", 600)
     with pytest.raises(ResourceLimit):
         ct_sequence(kernel("fcc", 4), 10)
-    monkeypatch.setattr(constant_term, "DEFAULT_BUDGET", 10)
+    # bcc4 to n = 8: 4 powers x 15 classes x 16 kernel terms = 960
+    monkeypatch.setattr(constant_term, "CT_WORK_CAP", 959)
     with pytest.raises(ResourceLimit):
         ct_sequence(kernel("bcc", 4), 8)
-    monkeypatch.setattr(constant_term, "DEFAULT_BUDGET", 20)
+    monkeypatch.setattr(constant_term, "CT_WORK_CAP", 960)
     assert len(ct_sequence(kernel("bcc", 4), 8)) == 9
 
 

@@ -428,15 +428,15 @@ def test_relation_fcc():
     assert relation_fcc_from_diamond(20)
 
 
-@pytest.mark.parametrize("relation,transform", [
-    (relation_triangular_from_honeycomb, "_triangular_table"),
-    (relation_fcc_from_diamond, "_fcc3_table")])
-def test_relation_catches_perturbed_transform(monkeypatch, relation, transform):
-    # the transform also feeds coeffs(), so only a kernel-derived reference
+@pytest.mark.parametrize("relation,d", [
+    (relation_triangular_from_honeycomb, 2),
+    (relation_fcc_from_diamond, 3)])
+def test_relation_catches_perturbed_transform(monkeypatch, relation, d):
+    # the pull-back also feeds coeffs(), so only a kernel-derived reference
     # can see it change
-    exact = getattr(lattices, transform)
-    monkeypatch.setattr(lattices, transform,
-                        lambda n: [v + (i == 5) for i, v in enumerate(exact(n))])
+    exact = lattices._pullback
+    monkeypatch.setattr(lattices, "_pullback", lambda dim, n: [
+        v + (i == 5 and dim == d) for i, v in enumerate(exact(dim, n))])
     rep = relation(10)
     assert not rep.passed and rep.first_mismatch == 5
 
