@@ -22,10 +22,13 @@ half-circle integrals (Abel, Bessel connection, 4d double elliptic) are
 all (2/pi) int_0^(pi/2) f(sin phi) dphi with f even and analytic, and
 run by one periodic trapezoid rule, _quarter_period_mean, which
 converges geometrically on such integrands; the [0, inf) Laplace and K0
-integrals stay on mp.quad.  K0 itself comes from _k0, the ascending
-series (DLMF 10.31.2) below t = 1.2 (dps + 5) and the asymptotic series
-(DLMF 10.40.2, remainder bound 10.40.10) above it, in place of mpmath's
-generic besselk; I0 stays on mp.besseli.
+integrals stay on mp.quad, their integrands set to 0 past a point T
+(_laplace_cut) where I0(x) <= e^x and K0(t) <= sqrt(pi/(2t)) e^-t prove
+the tail below 10^-(dps + 2) of the value.  K0 and I0 come from _k0 and
+_i0, in place of mpmath's generic besselk and besseli: the ascending
+series (DLMF 10.31.2 and 10.25.2, one fixed-point term loop) below
+1.2 (dps + 5) and the asymptotic series (DLMF 10.40.2 and 10.40.1, one
+term loop; remainder bounds 10.40.10 and 10.40.11) above it.
 
 Elliptic-argument conventions are a minefield: the source formulas write
 K(k) in some places and feed k^2-type expressions in others.  Every
@@ -39,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count, islice
-from math import comb, prod
+from math import comb, log, pi, prod
 
 import mpmath as mp
 
@@ -583,14 +586,43 @@ def _quarter_period_mean(f, prec: int):
             f"trapezoid sums still differ by {mp.nstr(diff, 3)} at {panels} panels")
 
 
+def _ascending_terms(t, wp: int):
+    """(t^2/4)^k / (k!)^2 for k = 0, 1, ... in fixed point with wp bits,
+    while nonzero: the terms of I0(t) (DLMF 10.25.2), all positive."""
+    q = int(mp.ldexp(t * t, wp - 2))
+    term = 1 << wp
+    k = 0
+    while term:
+        yield term
+        k += 1
+        term = (term * q >> wp) // (k * k)
+
+
+def _asymptotic_terms(t, wp: int):
+    """((2k-1)!!)^2 / (k! (8t)^k) for k = 0, 1, ... in fixed point with wp
+    bits, while nonzero and decreasing: the magnitudes of the terms of the
+    K0 and I0 asymptotic series (DLMF 10.40.2 and 10.40.1).  It stops at
+    the least term if that comes first."""
+    x = int(mp.ldexp(8 * t, wp))
+    term = 1 << wp
+    k = 0
+    while term:
+        yield term
+        k += 1
+        nxt = (term * (2 * k - 1) ** 2 << wp) // (k * x)
+        if nxt >= term:
+            return
+        term = nxt
+
+
 def _k0(t):
     """K0(t) for t > 0 at the caller's working precision.
 
     Below t = 1.2 (dps + 5) it is the ascending series (DLMF 10.31.2)
     K0(t) = -(ln(t/2) + gamma) I0(t) + sum_(k>=1) (t^2/4)^k H_k / (k!)^2,
-    with I0(t) = sum_k (t^2/4)^k / (k!)^2 from the same terms.  Both sums
-    are about e^t while K0 is about e^-t, so they are taken in fixed point
-    with 0.87 t + 8 extra digits, which cover the cancellation of e^(2t).
+    with I0(t) from the same terms, _ascending_terms.  Both sums are about
+    e^t while K0 is about e^-t, so they are taken in fixed point with
+    0.87 t + 8 extra digits, which cover the cancellation of e^(2t).
     Above it is the asymptotic series (DLMF 10.40.2)
     K0(t) = sqrt(pi/(2t)) e^-t sum_k (-1)^k ((2k-1)!!)^2 / (k! (8t)^k),
     stopped at the first term below the working epsilon or before the
@@ -604,37 +636,99 @@ def _k0(t):
         with mp.workdps(dps + int(mp.mpf("0.87") * t) + 8):
             wp = mp.mp.prec
             one = 1 << wp
-            q = int(mp.ldexp(t * t, wp - 2))
-            term = i0 = one
-            h = s = 0
-            k = 0
-            while term:
-                k += 1
-                term = (term * q >> wp) // (k * k)
-                h += one // k
+            h = s = i0 = 0
+            for k, term in enumerate(_ascending_terms(t, wp)):
+                if k:
+                    h += one // k
                 i0 += term
                 s += term * h >> wp
             value = mp.ldexp(s, -wp) - (mp.log(t / 2) + mp.euler) * mp.ldexp(i0, -wp)
         return +value
     with mp.workdps(dps + 3):
         wp = mp.mp.prec
-        x = int(mp.ldexp(8 * t, wp))
-        term = total = 1 << wp
-        k = 0
-        while term:
-            k += 1
-            nxt = (term * (2 * k - 1) ** 2 << wp) // (k * x)
-            if nxt >= term:
-                break
-            term = nxt
-            total += -term if k % 2 else term
+        total = sum(-term if k % 2 else term
+                    for k, term in enumerate(_asymptotic_terms(t, wp)))
         value = mp.sqrt(mp.pi / (2 * t)) * mp.exp(-t) * mp.ldexp(total, -wp)
     return +value
 
 
+def _i0(x):
+    """I0(x) for real x at the caller's working precision.
+
+    I0 is even, so x is taken as |x|.  Below x = 1.2 (dps + 5), the switch
+    of _k0, it is the ascending series (DLMF 10.25.2), the terms _k0 sums
+    for its I0; they are all positive, so no digits are needed for
+    cancellation.  Above it is the asymptotic series (DLMF 10.40.1)
+    I0(x) = e^x / sqrt(2 pi x) sum_k ((2k-1)!!)^2 / (k! (8x)^k),
+    the magnitudes of _k0's terms, all positive, summed to the first term
+    below the working epsilon, which comes before the least term as in
+    _k0.  DLMF 10.40(ii) bounds its remainder by writing I0(x) through
+    K0(x e^(pi i)) (the connection formula 10.34.2) and applying 10.40.11
+    and 10.40.12 at ph z = pi: after l terms it is at most
+    2 chi(l) e^(pi/(8x)) times the first neglected term, with
+    chi(l) = sqrt(pi) Gamma(l/2 + 1)/Gamma(l/2 + 1/2) < sqrt(pi (l + 2)/2).
+    Either sum has l < 3 (dps + 5) terms.  Their fixed-point truncations
+    cost at most 5 l units of the last bit relative to the sum, and the
+    asymptotic remainder less than 3 sqrt(l + 2) more, so the 5 guard
+    digits cover both below dps 6000.
+    """
+    x = abs(mp.mpf(x))
+    dps = mp.mp.dps
+    with mp.workdps(dps + 5):
+        wp = mp.mp.prec
+        if x < mp.mpf("1.2") * (dps + 5):
+            value = mp.ldexp(sum(_ascending_terms(x, wp)), -wp)
+        else:
+            value = (mp.exp(x) / mp.sqrt(2 * mp.pi * x)
+                     * mp.ldexp(sum(_asymptotic_terms(x, wp)), -wp))
+    return +value
+
+
+def _laplace_cut(c, dps: int, k0: bool = False) -> float:
+    """The T past which the [0, inf) Bessel integrands are dropped.
+
+    With a = 1 - c > 0 and I0(x) <= e^x for x >= 0 (I0(x) is the mean of
+    e^(x cos theta) over [0, pi]), the integrand e^-t I0(c t/d)^d of
+    _laplace_sc is at most e^(-a t), so its tail past T is at most
+    e^(-a T)/a.  With K0(t) <= sqrt(pi/(2t)) e^-t (DLMF 10.40.10: after
+    the first term the remainder has the sign of -1/(8t)), the K0
+    integrands t I0(c t/m)^m K0(t) are at most sqrt(pi t/2) e^(-a t);
+    since sqrt(t) <= sqrt(T) e^((t - T)/(2T)) for t >= T and a T >= 1,
+    their tail is at most sqrt(2 pi T) e^(-a T)/a.  With
+    L = (dps + 2) ln 10 - ln a, T is the first of L/a, (L + 1)/a, ...
+    where the bound is at most 10^-(dps + 2); for the sc form that is L/a
+    itself.  Every one of these integrals is at least 1 (I0 >= 1,
+    int e^-t dt = 1 and int t K0(t) dt = 1), so the dropped tail is below
+    10^-(dps + 2) of the value.
+    """
+    a = float(1 - c)
+    L = (dps + 2) * log(10) - log(a)
+    T = L / a
+    while k0 and a * T - log(2 * pi * T) / 2 < L:
+        T += 1 / a
+    return T
+
+
 def _laplace_sc(d: int, z, prec: int):
-    # int_0^inf e^-t I0(zt/d)^d dt, the d-cubic P(z) as a Laplace integral
-    value, _ = quadrature(lambda t: mp.e ** (-t) * mp.besseli(0, z * t / d) ** d,
+    """int_0^inf e^-t I0(zt/d)^d dt, the d-cubic P(z) as a Laplace
+    integral, for 0 <= z < 1.  The integrand is 0 past
+    _laplace_cut(z, dps), which drops less than 10^-(dps + 2) of the
+    value; mp.quad still runs on [0, inf) with its own nodes and error
+    estimate, and no I0 is computed at the far nodes."""
+    cut = _laplace_cut(z, _dps(prec))
+    value, _ = quadrature(lambda t: mp.e ** (-t) * _i0(z * t / d) ** d if t <= cut else 0,
+                          [0, mp.inf], prec)
+    return value
+
+
+def _k0_transform(m: int, c, prec: int, k0):
+    """int_0^inf t I0(ct/m)^m K0(t) dt for 0 <= c < 1, K0 from k0: the
+    d-diamond P(c) at m = d + 1, and the inner integral of
+    bessel_connection_check.  The integrand is 0 past
+    _laplace_cut(c, dps, k0=True), as in _laplace_sc, so no I0 or K0 is
+    computed at the far nodes."""
+    cut = _laplace_cut(c, _dps(prec), k0=True)
+    value, _ = quadrature(lambda t: t * _i0(c * t / m) ** m * k0(t) if t <= cut else 0,
                           [0, mp.inf], prec)
     return value
 
@@ -643,7 +737,10 @@ def bessel_sc_check(d: int, z, prec: int = 25) -> IdentityCheck:
     """int_0^inf e^-t I0(zt/d)^d dt against the d-cubic series at z.
 
     The series, by lgf_series_eval, comes first, so a z whose term count
-    passes the cap is refused before any quadrature."""
+    passes the cap is refused before any quadrature.  The integrand is cut
+    where its tail, at most e^(-(1-z) T)/(1-z) since I0(x) <= e^x, falls
+    below 10^-(dps + 2) of the value, which is at least 1 (_laplace_cut).
+    """
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
         if not 0 <= z < 1:
@@ -654,16 +751,19 @@ def bessel_sc_check(d: int, z, prec: int = 25) -> IdentityCheck:
 
 def bessel_diamond_check(d: int, z, prec: int = 25) -> IdentityCheck:
     """int_0^inf t I0(zt/(d+1))^(d+1) K0(t) dt against the d-diamond series,
-    the series first as in bessel_sc_check."""
+    the series first as in bessel_sc_check.
+
+    The integrand is at most sqrt(pi t/2) e^(-(1-z) t), by I0(x) <= e^x
+    and K0(t) <= sqrt(pi/(2t)) e^-t (DLMF 10.40.10), and is 0 past the T
+    of _laplace_cut, where that bound's tail falls below 10^-(dps + 2) of
+    the value, which is at least 1; no I0 or K0 is computed past T.
+    """
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
         if not 0 <= z < 1:
             raise DomainError("integral converges for 0 <= z < 1")
         rhs = lgf_series_eval(LatticeSpec("diamond", d), z, prec).value
-        lhs, _ = quadrature(
-            lambda t: t * mp.besseli(0, z * t / (d + 1)) ** (d + 1) * _k0(t),
-            [0, mp.inf], prec)
-        return _contract_check(lhs, rhs, prec)
+        return _contract_check(_k0_transform(d + 1, z, prec, _k0), rhs, prec)
 
 
 def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
@@ -671,28 +771,26 @@ def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
 
     The outer integral, (2/pi) int_0^(pi/2) in u = sin(phi), is the
     quarter-period mean of an integrand even in u (I0 is even), taken by
-    the periodic trapezoid rule.  Every inner [0, inf) rule runs on the
-    same nodes t, so K0(t) is evaluated once per distinct node and reused
-    by all outer nodes.
+    the periodic trapezoid rule.  Every inner [0, inf) rule,
+    _k0_transform(d, zu), runs on the same nodes t, so K0(t) is evaluated
+    once per distinct node and reused by all outer nodes.  Its integrand
+    t I0(ztu/d)^d K0(t) is at most sqrt(pi t/2) e^(-(1-zu) t), as in
+    bessel_diamond_check, and is 0 past the T of _laplace_cut(zu), which
+    drops less than 10^-(dps + 2) of the inner value (at least 1), so of
+    the mean too.
     """
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
         if not 0 <= z < 1:
             raise DomainError("0 <= z < 1")
-        k0 = {}
+        cache = {}
 
         def besselk0(t):
-            if t not in k0:
-                k0[t] = _k0(t)
-            return k0[t]
+            if t not in cache:
+                cache[t] = _k0(t)
+            return cache[t]
 
-        def outer(u):
-            inner, _ = quadrature(
-                lambda t: t * mp.besseli(0, z * t * u / d) ** d * besselk0(t),
-                [0, mp.inf], prec)
-            return inner
-
-        rhs, _ = _quarter_period_mean(outer, prec)
+        rhs, _ = _quarter_period_mean(lambda u: _k0_transform(d, z * u, prec, besselk0), prec)
         return _contract_check(_laplace_sc(d, z, prec), rhs, prec)
 
 
@@ -792,7 +890,9 @@ def ramanujan_eval(series_id: str, terms: int, prec: int = 30):
     """Exact partial sum of one 1/pi series against its target.
 
     Returns EvalResult-like data: (partial sum, target, |difference|),
-    all at prec digits; the summation itself is exact in Q(sqrt(3)).
+    all at prec digits; the summation itself is exact in Q(sqrt(3)).  The
+    difference is floored at the working epsilon 10**-dps times |target|:
+    below it, it is the rounding of the two sides, not a measurement.
     """
     if series_id not in _RAMANUJAN:
         raise DomainError(f"unknown series {series_id!r}")
@@ -803,7 +903,8 @@ def ramanujan_eval(series_id: str, terms: int, prec: int = 30):
     with mp.workdps(_dps(prec)):
         partial = _surd_to_mpf(acc, prec)
         target = s.c.to_mpf() / mp.pi
-        return partial, target, abs(partial - target)
+        floor = mp.mpf(10) ** -_dps(prec) * abs(target)
+        return partial, target, max(abs(partial - target), floor)
 
 
 def ramanujan_general_form_check(prec: int = 64) -> VerifyReport:
@@ -898,12 +999,15 @@ def log_mahler_measure(F: dict, prec: int = 30):
         if nvars != 2:
             raise DomainError("one or two variables only")
 
+        terms = [(ex, ey, mp.mpf(c)) for (ex, ey), c in F.items()]
+        tiny = mp.mpf(10) ** (-_dps(prec))
+
         def inner_measure(phi):
-            y = mp.e ** (1j * phi)
+            y = mp.expj(phi)
             poly: dict[int, mp.mpc] = {}
-            for (ex, ey), c in F.items():
-                poly[ex] = poly.get(ex, mp.mpc(0)) + mp.mpf(c) * y ** ey
-            return _jensen(poly, mp.mpf(10) ** (-_dps(prec)))
+            for ex, ey, c in terms:
+                poly[ex] = poly.get(ex, mp.mpc(0)) + c * y ** ey
+            return _jensen(poly, tiny)
 
         def outer(panels):
             edges = [mp.pi * j / panels for j in range(panels + 1)]

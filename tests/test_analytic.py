@@ -463,6 +463,20 @@ class TestQuadrature:
                 ref = mp.besselk(0, t)
                 assert abs(v - ref) <= mp.mpf(10) ** (1 - dps) * ref, (dps, t)
 
+    @pytest.mark.parametrize("dps", [15, 22, 40, 60])
+    def test_i0_matches_mpmath(self, dps):
+        # both branches, and both sides of the switch at x = 1.2 (dps + 5)
+        switch = mp.mpf("1.2") * (dps + 5)
+        grid = ["1e-8", "1e-3", "0.5", "1", "5", "20", "100", "1e3", "1e4",
+                switch * (1 - mp.mpf("1e-6")), switch, switch * (1 + mp.mpf("1e-6"))]
+        for x in grid:
+            with mp.workdps(dps):
+                x = mp.mpf(x)
+                v = analytic._i0(x)
+            with mp.workdps(dps + 20):
+                ref = mp.besseli(0, x)
+                assert abs(v - ref) <= mp.mpf(10) ** (1 - dps) * ref, (dps, x)
+
     def test_i0_at_zero(self):
         # I0(0) = 1, so at z = 0 the Laplace form of P is int e^-t dt = 1
         with mp.workdps(40):
@@ -542,15 +556,47 @@ class TestBesselIdentities:
         # one inner K0 rule per outer node, 9 nodes at prec 5 where
         # tanh-sinh took 53
         calls = []
-        besseli = mp.besseli
+        i0 = analytic._i0
 
-        def counting(n, x):
+        def counting(x):
             calls.append(x)
-            return besseli(n, x)
+            return i0(x)
 
-        monkeypatch.setattr(mp, "besseli", counting)
+        monkeypatch.setattr(analytic, "_i0", counting)
         assert bool(bessel_connection_check(3, "0.4", 5))
-        assert len(calls) <= 3000
+        assert calls and len(calls) <= 3000
+
+    def test_no_generic_besseli(self, monkeypatch):
+        # I0 comes from _i0 in all three checks
+        def refuse(*args, **kwargs):
+            raise AssertionError("mp.besseli called")
+
+        monkeypatch.setattr(mp, "besseli", refuse)
+        assert bool(bessel_sc_check(3, "0.4", 12))
+        assert bool(bessel_diamond_check(3, "0.1", 12))
+        assert bool(bessel_connection_check(3, "0.4", 5))
+
+    @pytest.mark.parametrize("kind", ["sc", "diamond"])
+    def test_cut_integrands_near_one(self, kind):
+        # at z = 0.97 the integrands decay like e^(-0.03 t), so the cut
+        # lies far out (T = 2266 and 2433); the cut integral must still match
+        # an uncut one with mpmath's I0 at 20 more digits (K0 from _k0,
+        # which test_k0_matches_mpmath checks against mp.besselk)
+        prec = 16
+        z = mp.mpf("0.97")
+        if kind == "sc":
+            value = analytic._laplace_sc(3, z, prec)
+
+            def uncut(t):
+                return mp.exp(-t) * mp.besseli(0, z * t / 3) ** 3
+        else:
+            value = analytic._k0_transform(4, z, prec, analytic._k0)
+
+            def uncut(t):
+                return t * mp.besseli(0, z * t / 4) ** 4 * analytic._k0(t)
+        with mp.workdps(prec + 30):
+            ref = mp.quad(uncut, [0, mp.inf])
+            assert abs(value - ref) <= mp.mpf(10) ** (2 - prec) * ref
 
     def test_connection_at_prec_20(self):
         c = bessel_connection_check(3, "0.4", 20)

@@ -343,6 +343,18 @@ class TestEval:
         assert code == OK
         assert float(doc["abs_error"]) < 1e-25
 
+    @pytest.mark.parametrize("sid", ["diam-64", "sc-484"])
+    def test_ramanujan_error_floored_at_working_epsilon(self, capsys, sid):
+        # at 200 terms both sums agree with their targets to the 70
+        # working digits; what is left is rounding, which the document
+        # reports as the working epsilon 10^-70 times the target
+        code, doc = run_json(capsys, "eval", "ramanujan", "--id", sid,
+                             "--terms", "200", "--prec", "60")
+        assert code == OK
+        with mp.workdps(80):
+            floor = mp.mpf(10) ** -70 * mp.mpf(doc["target"])
+            assert doc["abs_error"] == mp.nstr(floor, 3)
+
     def test_ramanujan_unknown_id(self, capsys):
         code, _, _ = run(capsys, "eval", "ramanujan", "--id", "sc-885")
         assert code == USAGE
