@@ -5,7 +5,7 @@ asking for `prec` decimal digits works internally at prec + 10 and the
 documented contract is a relative error below 10**(2 - prec) unless a
 function says otherwise.  Quadrature-backed results carry an explicit
 error estimate instead.  Every pass/fail gate (the Bessel and Abel
-identities, the Ramanujan general form, the convention resolution) is
+identities, the Ramanujan general form, the elliptic-reading proof) is
 that contract, applied by one helper, _contract_check.
 
 Every complete elliptic integral (the Watson constants, the printed
@@ -14,10 +14,11 @@ the 4d double elliptic integral) is (2/pi) K(m) from one function,
 two_over_pi_K, by mpmath's AGM.  Every lattice series at |z| < 1 (the
 honeycomb maps and the series sides of the Bessel and Abel identities)
 is summed by lgf_series_eval, whose term count follows prec and |z| by
-one rule, _terms_below_one; the convention tables below follow the same
-rule.  pFq_eval and the hyper-bcc P(0;1) take their terms from one
-generator, _hyper_terms, with integer term ratios; the single-3F2 forms
-of rogers_3f2 are the exception and call mpmath's hyper.  The
+one rule, _terms_below_one; the tables of convention_report follow the
+same rule.  Every hypergeometric sum takes its terms from one generator,
+series.hyper_terms, with integer term ratios: pFq_eval, the hyper-bcc
+P(0;1), the single-3F2 forms of rogers_3f2 (through pFq_eval) and the
+exact half-circle moments of abel_forward_check.  The
 half-circle integrals (Abel, Bessel connection, 4d double elliptic) are
 all (2/pi) int_0^(pi/2) f(sin phi) dphi with f even and analytic, and
 run by one periodic trapezoid rule, _quarter_period_mean, which
@@ -32,17 +33,20 @@ term loop; remainder bounds 10.40.10 and 10.40.11) above it.
 
 Elliptic-argument conventions are a minefield: the source formulas write
 K(k) in some places and feed k^2-type expressions in others.  Every
-formula with an ambiguous argument is resolved *empirically* against the
-exact lattice series (convention_report below), never assumed; the
-resolved convention is applied in one place, _ambiguous_value.
+formula with an ambiguous argument is evaluated in one reading, _READING
+(the modulus k, so K takes k^2), by one function, _ambiguous_value, and
+no closed-form evaluation builds a lattice table.  convention_report
+proves that reading against the exact lattice series: both readings are
+judged, and a form passes only when the evaluated one is the one that
+matches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, islice
-from math import comb, log, pi, prod
+from itertools import islice
+from math import comb, log, pi
 
 import mpmath as mp
 
@@ -56,6 +60,7 @@ from .errors import (
 )
 from .lattices import LatticeSpec, coeffs, structure_sums
 from .reports import ConditionReport, VerifyReport
+from .series import hyper_terms
 from .surd import QSqrt3
 
 Q = Fraction
@@ -136,27 +141,6 @@ def _power_law_tail(terms, p, n_last):
     return tail3, abs(tail3 - tail2)
 
 
-def _hyper_terms(upper, lower, x=1):
-    """t_0 = 1, t_1, ... of sum_n prod (u)_n / prod (l)_n x^n / n!.
-
-    upper and lower are Fractions, so the ratio
-    t_(n+1)/t_n = x prod(u + n) / ((n + 1) prod(l + n)) is x times one
-    integer over another: one mpf multiplication and one division per
-    term, and one more multiplication when x != 1.
-    """
-    ups = [(u.numerator, u.denominator) for u in upper]
-    lows = [(l.numerator, l.denominator) for l in lower]
-    num_scale = prod(q for _, q in lows)
-    den_scale = prod(q for _, q in ups)
-    t = mp.mpf(1)
-    for n in count():
-        yield t
-        t = (t * (num_scale * prod(p + n * q for p, q in ups))
-             / (den_scale * (n + 1) * prod(p + n * q for p, q in lows)))
-        if x != 1:
-            t *= x
-
-
 _TERM_CAP = 6000
 
 # terms x working digits at x = 1, sized so that prec 100 (8000 terms at
@@ -218,7 +202,8 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
         if at_one and spec.family == "bcc":
             terms = _terms_at_one(prec, terms)
             d = spec.dim
-            ts = list(islice(_hyper_terms([Q(1, 2)] * d, [Q(1)] * (d - 1)), terms + 1))
+            ts = list(islice(hyper_terms([Q(1, 2)] * d, [Q(1)] * (d - 1), one=mp.mpf(1)),
+                             terms + 1))
         else:
             if terms is None:
                 terms = 400 if at_one else _terms_below_one(spec, z, prec)
@@ -270,12 +255,12 @@ def pFq_eval(upper, lower, x, prec: int = 30):
                 raise DivergenceError(f"parameter excess {excess} <= -1 at x = -1")
         if x == 1:
             n_terms = _terms_at_one(prec)
-            ts = list(islice(_hyper_terms(upper, lower), n_terms + 1))
+            ts = list(islice(hyper_terms(upper, lower, one=mp.mpf(1)), n_terms + 1))
             tail3, _ = _power_law_tail(ts, mp.mpf(1) + excess, n_terms)
             return mp.fsum(ts) + tail3
         target = mp.mpf(10) ** (-(prec + 5))
         total = mp.mpf(0)
-        for n, t in enumerate(islice(_hyper_terms(upper, lower, x), 10 ** 6)):
+        for n, t in enumerate(islice(hyper_terms(upper, lower, x, one=mp.mpf(1)), 10 ** 6)):
             if n > 9 and abs(t) < target * max(abs(total), mp.mpf(1)):
                 return total + t
             total += t
@@ -328,8 +313,6 @@ CLOSED_FORM_IDS = (
     "honeycomb-map-diamond", "fourd-sc-double-elliptic",
 )
 
-_CONVENTION: dict[str, str] = {}
-
 
 def _honeycomb_form(z):
     k = 4 * z ** 2 / ((3 - z) * mp.sqrt(z * (3 - z) * (1 + z)))
@@ -365,15 +348,16 @@ def _diamond_alg_form(z):
 
 # forms whose printed elliptic/2F1 argument does not say whether it is
 # k or k^2; each returns (prefactor, printed argument) and its value is
-# prefactor * ((2/pi) K)^power.  Resolved against the series and cached
-# in _CONVENTION
+# prefactor * ((2/pi) K)^power
 _AMBIGUOUS_EVAL = {
     "honeycomb": (_honeycomb_form, LatticeSpec("honeycomb", 2), 1),
     "square": (_square_form, LatticeSpec("square", 2), 1),
     "triangular": (_triangular_form, LatticeSpec("triangular", 2), 1),
     "diamond-algebraic-2F1": (_diamond_alg_form, LatticeSpec("diamond", 3), 2),
 }
-_AMBIGUOUS = tuple(_AMBIGUOUS_EVAL)
+# the reading joyce_closed_form gives every ambiguous printed argument:
+# the modulus k, so K takes m = k^2.  convention_report proves it
+_READING = "modulus"
 
 
 def _ambiguous_value(form_id: str, z, prec: int, convention: str):
@@ -383,40 +367,30 @@ def _ambiguous_value(form_id: str, z, prec: int, convention: str):
     return pre * two_over_pi_K(m, prec) ** power
 
 
-def _resolve(form_id: str, prec: int = 30) -> str:
-    if form_id in _CONVENTION:
-        return _CONVENTION[form_id]
-    spec = _AMBIGUOUS_EVAL[form_id][1]
-    winners = []
-    with mp.workdps(_dps(prec)):
-        points = (mp.mpf("0.1"), mp.mpf("0.2"))
-        table = coeffs(spec, _terms_below_one(spec, points[-1], prec))
-        refs = [(z, mp.fsum(_series_terms(spec, table, z))) for z in points]
-        for convention in ("modulus", "parameter"):
-            if all(_contract_check(_ambiguous_value(form_id, z, prec, convention), ref, prec)
-                   for z, ref in refs):
-                winners.append(convention)
-    if len(winners) != 1:
-        raise PrecisionNotMet(
-            f"{form_id}: conventions matching the series: {winners}")
-    _CONVENTION[form_id] = winners[0]
-    return winners[0]
-
-
 def convention_report(prec: int = 30) -> list[ConditionReport]:
-    """Resolve every ambiguous elliptic argument against its series.
+    """Judge both readings of every ambiguous elliptic argument against
+    its series at z = 0.1 and 0.2, one table per form.
 
-    Exactly one convention may survive per form; anything else is
+    A form passes only when _READING, the reading joyce_closed_form
+    evaluates, is the one reading that matches; anything else is
     reported as a failure rather than silently picked.
     """
     out = []
-    for form_id in _AMBIGUOUS:
-        try:
-            resolved = _resolve(form_id, prec)
+    for form_id, (_, spec, _) in _AMBIGUOUS_EVAL.items():
+        with mp.workdps(_dps(prec)):
+            points = (mp.mpf("0.1"), mp.mpf("0.2"))
+            table = coeffs(spec, _terms_below_one(spec, points[-1], prec))
+            refs = [(z, mp.fsum(_series_terms(spec, table, z))) for z in points]
+            winners = [c for c in ("modulus", "parameter")
+                       if all(_contract_check(_ambiguous_value(form_id, z, prec, c), ref, prec)
+                              for z, ref in refs)]
+        if winners == [_READING]:
             out.append(ConditionReport(
-                form_id, True, detail=f"printed argument is the {resolved}"))
-        except PrecisionNotMet as exc:
-            out.append(ConditionReport(form_id, False, detail=str(exc)))
+                form_id, True, detail=f"printed argument is the {_READING}"))
+        else:
+            out.append(ConditionReport(
+                form_id, False,
+                detail=f"{form_id}: conventions matching the series: {winners}"))
     return out
 
 
@@ -447,7 +421,7 @@ def joyce_closed_form(form_id: str, z, prec: int = 30):
                 return mp.mpf(1)
             if not 0 < z < 1:
                 raise DomainError("validated domain is 0 <= z < 1")
-            return _ambiguous_value(form_id, z, prec, _resolve(form_id))
+            return _ambiguous_value(form_id, z, prec, _READING)
         if not 0 <= z < 1:
             raise DomainError("validated domain is 0 <= z < 1")
         if form_id == "sc3":
@@ -500,21 +474,20 @@ def honeycomb_map_eval(target: str, xi, prec: int = 30):
 
 
 def rogers_3f2(target: str, z, prec: int = 30):
-    """The single-3F2 forms of the diamond and fcc LGFs."""
+    """The single-3F2 forms of the diamond and fcc LGFs, summed by
+    pFq_eval: 3F2(1/3, 1/2, 2/3; 1, 1; x) at the form's argument x."""
     if target not in ("diamond", "fcc"):
         raise DomainError(f"no 3F2 form for {target!r}")
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
-        third, half = mp.mpf(1) / 3, mp.mpf(1) / 2
         if target == "diamond":
-            arg = 27 * z ** 4 / (64 * (1 - z ** 2 / 4) ** 3)
-            if abs(arg) >= 1:
-                raise DomainError("3F2 argument outside the unit disk")
-            return mp.hyper([third, half, 2 * third], [1, 1], arg) / (1 - z ** 2 / 4)
-        arg = z ** 2 * (3 + z) / 4
+            scale = 1 - z ** 2 / 4
+            arg = 27 * z ** 4 / (64 * scale ** 3)
+        else:
+            scale, arg = 1, z ** 2 * (3 + z) / 4
         if abs(arg) >= 1:
             raise DomainError("3F2 argument outside the unit disk")
-        return mp.hyper([third, half, 2 * third], [1, 1], arg)
+        return pFq_eval([Q(1, 3), Q(1, 2), Q(2, 3)], [1, 1], arg, prec) / scale
 
 
 def fourd_sc_double_elliptic(z, prec: int = 30):
@@ -716,7 +689,7 @@ def _laplace_sc(d: int, z, prec: int):
     value; mp.quad still runs on [0, inf) with its own nodes and error
     estimate, and no I0 is computed at the far nodes."""
     cut = _laplace_cut(z, _dps(prec))
-    value, _ = quadrature(lambda t: mp.e ** (-t) * _i0(z * t / d) ** d if t <= cut else 0,
+    value, _ = quadrature(lambda t: mp.exp(-t) * _i0(z * t / d) ** d if t <= cut else 0,
                           [0, mp.inf], prec)
     return value
 
@@ -794,18 +767,12 @@ def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
         return _contract_check(_laplace_sc(d, z, prec), rhs, prec)
 
 
-def _wallis(n: int) -> Fraction:
-    # (2/pi) int_0^1 t^(2n)/sqrt(1-t^2) dt = (2n-1)!!/(2n)!!
-    out = Q(1)
-    for j in range(1, n + 1):
-        out *= Q(2 * j - 1, 2 * j)
-    return out
-
-
 def abel_forward_check(d: int, z, prec: int = 20):
     """The half-circle moment identity, exactly and under the integral.
 
-    Exact part: (2n-1)!!/(2n)!! = C(2n,n)/4^n for n <= 20.  Numeric
+    Exact part: the half-circle moments
+    (2/pi) int_0^1 t^(2n)/sqrt(1-t^2) dt = (2n-1)!!/(2n)!!, the terms
+    (1/2)_n/n! of 1F0(1/2;;1), equal C(2n,n)/4^n for n <= 20.  Numeric
     part: P_d(z) = (2/pi) int_0^1 Z_d(t^2 z^2/d^2)/sqrt(1-t^2) dt with
     Z_d the structure-sum generating function, taken to the term count
     lgf_series_eval picks for the series side (before any quadrature) and
@@ -813,7 +780,8 @@ def abel_forward_check(d: int, z, prec: int = 20):
     In t = sin(phi) the integral is the quarter-period mean of
     Z_d(z^2 t^2/d^2), even in t, taken by the periodic trapezoid rule.
     """
-    exact = all(_wallis(n) == Q(comb(2 * n, n), 4 ** n) for n in range(21))
+    exact = all(t == Q(comb(2 * n, n), 4 ** n)
+                for n, t in zip(range(21), hyper_terms([Q(1, 2)], [])))
     reports = [ConditionReport("half-circle moments exact through n=20", exact)]
     with mp.workdps(_dps(prec)):
         z = mp.mpf(z)
@@ -893,11 +861,15 @@ def ramanujan_eval(series_id: str, terms: int, prec: int = 30):
     all at prec digits; the summation itself is exact in Q(sqrt(3)).  The
     difference is floored at the working epsilon 10**-dps times |target|:
     below it, it is the rounding of the two sides, not a measurement.
+    A `terms` above the cap is refused before the table is built, as in
+    lgf_series_eval.
     """
     if series_id not in _RAMANUJAN:
         raise DomainError(f"unknown series {series_id!r}")
     if terms < 1:
         raise DomainError("terms >= 1")
+    if terms > _TERM_CAP:
+        raise ResourceLimit(f"{terms} terms requested; cap is {_TERM_CAP}")
     s = _RAMANUJAN[series_id]
     acc = _ramanujan_sum(s.a, s.b, s.x0, coeffs(s.lattice, terms), terms)
     with mp.workdps(_dps(prec)):

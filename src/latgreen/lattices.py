@@ -32,13 +32,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import comb, factorial, gcd, prod
 from typing import Callable, Mapping, Sequence
 
 from .errors import ResourceLimit, UnsupportedLattice, UnsupportedTerm
 from .reports import VerifyReport
-from .series import PowerSeries, binomial_transform
+from .series import PowerSeries, binomial_transform, hyper_terms
 
 Q = Fraction
 
@@ -575,11 +575,11 @@ def hypergeometric_forms_check(n_max: int) -> VerifyReport:
     """
     for l in range(n_max + 1):
         cl = comb(2 * l, l)
-        a2 = cl * _pfq_finite([Q(-l), Q(-l)], [Q(1)], Q(1))
-        a3 = cl * _pfq_finite([Q(1, 2), Q(-l), Q(-l)], [Q(1), Q(1)], Q(4))
-        a4 = cl * cl * _pfq_finite(
-            [Q(1, 2), Q(-l), Q(-l), Q(-l)], [Q(1), Q(1), Q(1, 2) - l], Q(1)
-        )
+        # each sum has the upper parameter -l, so its terms past n = l are 0
+        a2 = cl * sum(islice(hyper_terms([Q(-l), Q(-l)], [Q(1)]), l + 1))
+        a3 = cl * sum(islice(hyper_terms([Q(1, 2), Q(-l), Q(-l)], [Q(1), Q(1)], 4), l + 1))
+        a4 = cl * cl * sum(islice(hyper_terms([Q(1, 2), Q(-l), Q(-l), Q(-l)],
+                                              [Q(1), Q(1), Q(1, 2) - l]), l + 1))
         if a2 != comb(2 * l, l) ** 2:
             return VerifyReport(False, n_max, l, "d=2 form")
         if a3 != cl * structure_sum(3, l):
@@ -587,29 +587,6 @@ def hypergeometric_forms_check(n_max: int) -> VerifyReport:
         if a4 != cl * structure_sum(4, l):
             return VerifyReport(False, n_max, l, "d=4 form")
     return VerifyReport(True, n_max, note="terminating pFq forms, d=2,3,4")
-
-
-def _pfq_finite(uppers: list[Fraction], lowers: list[Fraction], x: Fraction) -> Fraction:
-    """Terminating hypergeometric sum; requires some upper parameter a
-    nonpositive integer."""
-    stop = min((-int(a) for a in uppers if a <= 0 and a.denominator == 1), default=None)
-    if stop is None:
-        raise ValueError("series does not terminate")
-    total = Q(0)
-    term = Q(1)
-    for j in range(stop + 1):
-        total += term
-        num = Q(1)
-        for a in uppers:
-            num *= a + j
-        den = Q(1)
-        for b in lowers:
-            den *= b + j
-        den *= j + 1
-        if den == 0:
-            break
-        term = term * x * num / den
-    return total
 
 
 def s5_forms_check(n_max: int) -> VerifyReport:

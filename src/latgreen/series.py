@@ -14,6 +14,9 @@ and build one Fraction per output coefficient, operator fits build
 integer rows from them, and a primitive integer vector is _numerators
 followed by one gcd.  binomial_transform is the weight-w binomial
 transform shared by the lattice tables and the Moebius pull-back.
+hyper_terms is the package's one hypergeometric term generator: exact
+terms from a Fraction start value, mpmath floats from an mpf one, so the
+terminating a_l forms and every numeric pFq sum read the same ratio.
 compose is Horner evaluation truncated to the orders that reach the
 result, and reversion is Lagrange inversion whose result is checked by
 composing it back.
@@ -29,7 +32,8 @@ f_{j+1}, which is all the ODE machinery needs.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from itertools import count
+from math import comb, lcm, prod
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -66,6 +70,31 @@ def binomial_transform(f: Sequence[Scalar], w: Scalar) -> list[Scalar]:
         out.append(row[0])
         row = [b + w * a for a, b in zip(row, row[1:])]
     return out
+
+
+def hyper_terms(upper: Sequence[Fraction], lower: Sequence[Fraction], x=1,
+                one=Q(1)):
+    """t_0 = one, t_1, ... of sum_n prod (u)_n / prod (l)_n x^n / n!.
+
+    upper and lower are Fractions, so the ratio
+    t_(n+1)/t_n = x prod(u + n) / ((n + 1) prod(l + n)) is x times one
+    integer over another: one multiplication and one division per term,
+    and one more multiplication when x != 1.  The terms have the type of
+    one: a Fraction (and Fraction or int x) gives exact terms, an mpf
+    gives floats at the caller's working precision.  A nonpositive
+    integer upper parameter -l makes every term past n = l zero.
+    """
+    ups = [(u.numerator, u.denominator) for u in upper]
+    lows = [(l.numerator, l.denominator) for l in lower]
+    num_scale = prod(q for _, q in lows)
+    den_scale = prod(q for _, q in ups)
+    t = one
+    for n in count():
+        yield t
+        t = (t * (num_scale * prod(p + n * q for p, q in ups))
+             / (den_scale * (n + 1) * prod(p + n * q for p, q in lows)))
+        if x != 1:
+            t *= x
 
 
 class PowerSeries:

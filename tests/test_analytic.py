@@ -296,6 +296,9 @@ FORM_TO_SPEC = {
     "diamond-algebraic-2F1": ("diamond", 3),
 }
 
+# the forms whose printed elliptic argument could be k or k^2
+AMBIGUOUS = ["honeycomb", "square", "triangular", "diamond-algebraic-2F1"]
+
 
 class TestClosedForms:
     def test_id_inventory(self):
@@ -310,20 +313,51 @@ class TestClosedForms:
             assert r.passed, r.detail
             assert "modulus" in r.detail
 
-    @pytest.mark.parametrize("fid", ["honeycomb", "square", "triangular",
-                                     "diamond-algebraic-2F1"])
-    def test_resolve_builds_one_table(self, fid, monkeypatch):
-        # both conventions are judged against one reference table
+    @pytest.mark.parametrize("fid", AMBIGUOUS)
+    def test_report_builds_one_table_per_form(self, fid, monkeypatch):
+        # both readings of a form are judged against one reference table
         calls = []
 
         def counting(spec, n_max):
-            calls.append((spec, n_max))
+            calls.append(spec)
             return coeffs(spec, n_max)
 
-        monkeypatch.setattr(analytic, "_CONVENTION", {})
         monkeypatch.setattr(analytic, "coeffs", counting)
-        assert analytic._resolve(fid) == "modulus"
-        assert len(calls) == 1
+        convention_report(30)
+        assert calls.count(LatticeSpec(*FORM_TO_SPEC[fid])) == 1
+        assert len(calls) == len(AMBIGUOUS)
+
+    @pytest.mark.parametrize("fid", AMBIGUOUS)
+    def test_closed_form_builds_no_table(self, fid, monkeypatch):
+        # the reading is fixed, so evaluating a form needs no series
+        ref = series_at(LatticeSpec(*FORM_TO_SPEC[fid]), "0.3")
+
+        def refuse(spec, n_max):
+            raise AssertionError(f"{fid} built a {spec} table")
+
+        monkeypatch.setattr(analytic, "coeffs", refuse)
+        with mp.workdps(50):
+            v = joyce_closed_form(fid, "0.3", 40)
+            assert abs(v - ref) < mp.mpf("1e-38")
+
+    @pytest.mark.parametrize("fid", AMBIGUOUS)
+    def test_report_fails_the_other_reading(self, fid, monkeypatch):
+        # the series admits only the modulus, so evaluating the parameter
+        # reading must fail the proof
+        monkeypatch.setattr(analytic, "_READING", "parameter")
+        report = {r.name: r for r in convention_report(30)}[fid]
+        assert not report.passed
+        assert "['modulus']" in report.detail
+
+    def test_no_generic_hyper(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("mp.hyper called")
+
+        monkeypatch.setattr(mp, "hyper", refuse)
+        for fid in CLOSED_FORM_IDS:
+            x = "0.06" if fid.startswith("honeycomb-map-") else "0.25"
+            v = joyce_closed_form(fid, x, 30)
+            assert mp.isfinite(v) and v > 0, fid
 
     @pytest.mark.parametrize("fid", sorted(FORM_TO_SPEC))
     def test_form_against_series(self, fid):
@@ -350,6 +384,22 @@ class TestClosedForms:
                               ("fcc", LatticeSpec("fcc", 3))]:
                 v = rogers_3f2(tgt, "0.3", 40)
                 assert abs(v - series_at(spec, mp.mpf("0.3"))) < mp.mpf("1e-12")
+
+    @pytest.mark.parametrize("z", ["0.15", "0.3", "0.6", "0.9"])
+    @pytest.mark.parametrize("target", ["diamond", "fcc"])
+    def test_rogers_matches_mpmath_hyper(self, target, z):
+        # the module contract against mpmath's generic hyper at 20 more digits
+        prec = 30
+        with mp.workdps(prec + 20):
+            x = mp.mpf(z)
+            if target == "diamond":
+                scale = 1 - x ** 2 / 4
+                arg = 27 * x ** 4 / (64 * scale ** 3)
+            else:
+                scale, arg = 1, x ** 2 * (3 + x) / 4
+            third = mp.mpf(1) / 3
+            ref = mp.hyper([third, mp.mpf(1) / 2, 2 * third], [1, 1], arg) / scale
+            assert abs(rogers_3f2(target, z, prec) - ref) <= mp.mpf(10) ** (2 - prec) * ref
 
     def test_fourd_sc_double_elliptic(self):
         # the module contract 10^(2-prec), relative; 450 terms put the

@@ -472,6 +472,10 @@ class TestRunner:
         # the bcc z = 1 terms come without a table, but not without the cap
         (["eval", "lgf", "--family", "bcc", "--dim", "4", "--z", "1",
           "--terms", "10000000"], LIMIT, "ResourceLimit"),
+        # the 1/pi series sum a table of --terms entries, built first: some
+        # 40 s at 1200 terms, so 10^7 would never return if not refused
+        (["eval", "ramanujan", "--id", "diam-64", "--terms", "10000000"],
+         LIMIT, "ResourceLimit"),
         # 8 10^6 terms at 10^5 digits if the term count followed --prec
         (["eval", "lgf", "--family", "bcc", "--dim", "4", "--z", "1",
           "--prec", "100000"], LIMIT, "ResourceLimit"),

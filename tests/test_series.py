@@ -1,12 +1,13 @@
 """Exactness and algebra checks for the series layer."""
 
 from fractions import Fraction as Q
-from math import comb
+from itertools import islice
+from math import comb, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latgreen.series import LogSeries, PowerSeries, binomial_transform
+from latgreen.series import LogSeries, PowerSeries, binomial_transform, hyper_terms
 from latgreen.errors import BadConstantTerm, NotReversible, ZeroConstantTerm
 
 
@@ -215,6 +216,21 @@ def test_binomial_transform_is_the_sum():
     assert binomial_transform(f, w) == expect
     assert binomial_transform([3, 1, 4], 0) == [3, 1, 4]
     assert binomial_transform([], w) == []
+
+
+def _poch(a, n):
+    return prod((a + j for j in range(n)), start=Q(1))
+
+
+@pytest.mark.parametrize("l", [0, 1, 4, 11])
+@pytest.mark.parametrize("b,c", [(Q(1, 2), Q(3, 2)), (Q(-7, 3), Q(5, 4))])
+def test_hyper_terms_sum_a_terminating_2f1_exactly(l, b, c):
+    # Chu-Vandermonde: 2F1(-l, b; c; 1) = (c - b)_l / (c)_l
+    terms = list(islice(hyper_terms([Q(-l), b], [c], one=Q(1)), l + 5))
+    assert all(type(t) is Q for t in terms)
+    assert sum(terms[: l + 1]) == _poch(c - b, l) / _poch(c, l)
+    assert terms[l] != 0
+    assert terms[l + 1:] == [0] * 4
 
 
 class TestProperties:
