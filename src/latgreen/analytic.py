@@ -51,7 +51,6 @@ from math import comb, log, pi
 import mpmath as mp
 
 from .errors import (
-    DivergenceError,
     DivergentRequest,
     DomainError,
     PrecisionNotMet,
@@ -77,7 +76,6 @@ class IdentityCheck:
     lhs: object
     rhs: object
     error: object
-    note: str = ""
 
     def __bool__(self) -> bool:
         return bool(abs(self.lhs - self.rhs) <= self.error)
@@ -148,16 +146,17 @@ _TERM_CAP = 6000
 _WORK_CAP = 10 ** 6
 
 
-def _terms_at_one(prec: int, terms: int | None = None) -> int:
-    """The terms summed before the power-law tail at x = 1: `terms`, or
+def _terms_at_one(upper, lower, prec: int, terms: int | None = None) -> list:
+    """t_0 .. t_N of pFq(upper; lower; 1) as mpf at the caller's working
+    precision, summed before the power-law tail: N is `terms`, or
     max(1500, 80 prec) when it is None.  ResourceLimit, before any term
-    is formed, when terms x working digits exceeds _WORK_CAP."""
+    is formed, when N x working digits exceeds _WORK_CAP."""
     if terms is None:
         terms = max(1500, 80 * prec)
     if terms * _dps(prec) > _WORK_CAP:
         raise ResourceLimit(f"{terms} terms at {_dps(prec)} digits; "
                             f"cap is {_WORK_CAP} term-digits")
-    return terms
+    return list(islice(hyper_terms(upper, lower, one=mp.mpf(1)), terms + 1))
 
 
 def _series_terms(spec: LatticeSpec, table, z):
@@ -182,9 +181,12 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
     tail="power-law-corrected" adds the fitted n^(-dim/2) tail, which is
     what makes z = 1 reachable for the d >= 3 walks; at z = 1 the bcc
     terms are those of the pFq sum (1/2, ..., 1/2; 1, ..., 1; 1) and need
-    no tables.  An explicit `terms` above the cap, or bcc z = 1 terms whose
-    count times the working digits passes _WORK_CAP, is refused before
-    any work.
+    no tables.  At z = -1 the terms equal those at z = 1 when every table
+    index is an even number of steps; a family with an odd number
+    (triangular, fcc) has alternating terms, which the one-signed tail
+    cannot fit, and is refused with DomainError.  An explicit `terms`
+    above the cap, or bcc z = 1 terms whose count times the working
+    digits passes _WORK_CAP, is refused before any work.
     """
     if tail not in ("none", "power-law-corrected"):
         raise ValueError(f"unknown tail mode {tail!r}")
@@ -195,15 +197,17 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
         if abs(z) > 1:
             raise DomainError("|z| <= 1 only")
         at_one = abs(z) == 1
+        s = spec.steps_per_index
+        if z == -1 and s % 2:
+            raise DomainError(f"{spec.name} at z = -1: one table index is {s} step(s), "
+                              "so the terms alternate and no one-signed tail fits")
         if at_one and spec.dim == 2:
             raise DivergentRequest("2d walks are recurrent: P(0;1) diverges")
-        s = spec.steps_per_index
         p_exp = mp.mpf(spec.dim) / 2
         if at_one and spec.family == "bcc":
-            terms = _terms_at_one(prec, terms)
             d = spec.dim
-            ts = list(islice(hyper_terms([Q(1, 2)] * d, [Q(1)] * (d - 1), one=mp.mpf(1)),
-                             terms + 1))
+            ts = _terms_at_one([Q(1, 2)] * d, [Q(1)] * (d - 1), prec, terms)
+            terms = len(ts) - 1
         else:
             if terms is None:
                 terms = 400 if at_one else _terms_below_one(spec, z, prec)
@@ -230,33 +234,42 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
 
 
 def pFq_eval(upper, lower, x, prec: int = 30):
-    """pFq by direct summation with a term-ratio tail bound.
+    """pFq by direct summation; the value alone, no error bound.
 
-    At x = 1 the terms decay like n^(sum(upper)-sum(lower)-1) and the
-    partial sum is completed with the fitted power-law tail; this is the
-    path that reaches the hyper-bcc d=4 value.  A prec whose term count
-    there passes _WORK_CAP is refused before any term is formed.
+    For |x| < 1, and at x = -1, the terms are summed until one falls
+    below 10**-(prec + 5) of the partial sum.  At x = 1 the terms decay
+    like n^(sum(upper)-sum(lower)-1) and the partial sum is completed with
+    the fitted power-law tail; this is the path that reaches the
+    hyper-bcc d=4 value.  A prec whose term count there passes _WORK_CAP
+    is refused before any term is formed, and so is an alternating p = q+1
+    sum at x = -1 whose terms, falling like n^-(1 + excess), would need
+    more than 10^6 of them (ResourceLimit).  DomainError for |x| > 1,
+    DivergentRequest for a sum that diverges (p > q+1, or too small a
+    parameter excess on the unit circle).
     """
     upper = [Q(u) for u in upper]
     lower = [Q(l) for l in lower]
     if len(upper) > len(lower) + 1:
-        raise DivergenceError("p > q+1 diverges for x != 0")
+        raise DivergentRequest("p > q+1 diverges for x != 0")
     with mp.workdps(_dps(prec)):
         x = mp.mpf(x)
         if abs(x) > 1:
-            raise DivergenceError("|x| > 1 outside the convergence disk")
+            raise DomainError("|x| > 1 outside the convergence disk")
         if x == 0:
             return mp.mpf(1)
         if abs(x) == 1:
             excess = sum(lower) - sum(upper)
             if x == 1 and excess <= 0:
-                raise DivergenceError(f"parameter excess {excess} <= 0 at x = 1")
+                raise DivergentRequest(f"parameter excess {excess} <= 0 at x = 1")
             if x == -1 and excess <= -1:
-                raise DivergenceError(f"parameter excess {excess} <= -1 at x = -1")
+                raise DivergentRequest(f"parameter excess {excess} <= -1 at x = -1")
+            if (x == -1 and len(upper) == len(lower) + 1
+                    and (prec + 5) / (1 + excess) > 6):
+                raise ResourceLimit(f"terms at x = -1 fall like n^-{1 + excess}: "
+                                    f"prec {prec} needs more than 10^6 of them")
         if x == 1:
-            n_terms = _terms_at_one(prec)
-            ts = list(islice(hyper_terms(upper, lower, one=mp.mpf(1)), n_terms + 1))
-            tail3, _ = _power_law_tail(ts, mp.mpf(1) + excess, n_terms)
+            ts = _terms_at_one(upper, lower, prec)
+            tail3, _ = _power_law_tail(ts, mp.mpf(1) + excess, len(ts) - 1)
             return mp.fsum(ts) + tail3
         target = mp.mpf(10) ** (-(prec + 5))
         total = mp.mpf(0)
@@ -394,6 +407,16 @@ def convention_report(prec: int = 30) -> list[ConditionReport]:
     return out
 
 
+def _unit_interval(z):
+    """z as an mpf at the caller's working precision; DomainError unless
+    0 <= z < 1, the validated domain of the cubic-family closed forms and
+    the convergence domain of the Bessel and Abel integrals."""
+    z = mp.mpf(z)
+    if not 0 <= z < 1:
+        raise DomainError(f"z = {z}: the domain is 0 <= z < 1")
+    return z
+
+
 def _xi_form(prec, xi, prefactor_num):
     # shared shell of the sc/fcc xi-parametrized forms
     m = 16 * xi ** 3 / ((1 - xi) ** 3 * (1 + 3 * xi))
@@ -415,15 +438,9 @@ def joyce_closed_form(form_id: str, z, prec: int = 30):
     if form_id.startswith("rogers-"):
         return rogers_3f2(form_id.removeprefix("rogers-"), z, prec)
     with mp.workdps(_dps(prec)):
-        z = mp.mpf(z)
+        z = _unit_interval(z)
         if form_id in _AMBIGUOUS_EVAL:
-            if z == 0:
-                return mp.mpf(1)
-            if not 0 < z < 1:
-                raise DomainError("validated domain is 0 <= z < 1")
-            return _ambiguous_value(form_id, z, prec, _READING)
-        if not 0 <= z < 1:
-            raise DomainError("validated domain is 0 <= z < 1")
+            return _ambiguous_value(form_id, z, prec, _READING) if z else mp.mpf(1)
         if form_id == "sc3":
             xi = ((1 + mp.sqrt(1 - z ** 2)) ** mp.mpf("-0.5")
                   * (1 - mp.sqrt(1 - z ** 2 / 9)) ** mp.mpf("0.5"))
@@ -503,9 +520,7 @@ def fourd_sc_double_elliptic(z, prec: int = 30):
     integrand is even in t.
     """
     with mp.workdps(_dps(prec)):
-        z = mp.mpf(z)
-        if not 0 <= z < 1:
-            raise DomainError("validated domain is 0 <= z < 1")
+        z = _unit_interval(z)
         mean, _ = _quarter_period_mean(lambda t: _diamond3_value(z * t, prec), prec)
         return mean
 
@@ -706,37 +721,37 @@ def _k0_transform(m: int, c, prec: int, k0):
     return value
 
 
+def _series_identity(spec: LatticeSpec, z, prec: int, integral) -> IdentityCheck:
+    """integral(z) against the series of spec at z, for 0 <= z < 1.  The
+    series, by lgf_series_eval, comes first, so a z whose term count
+    passes the cap is refused before any quadrature."""
+    with mp.workdps(_dps(prec)):
+        z = _unit_interval(z)
+        rhs = lgf_series_eval(spec, z, prec).value
+        return _contract_check(integral(z), rhs, prec)
+
+
 def bessel_sc_check(d: int, z, prec: int = 25) -> IdentityCheck:
     """int_0^inf e^-t I0(zt/d)^d dt against the d-cubic series at z.
 
-    The series, by lgf_series_eval, comes first, so a z whose term count
-    passes the cap is refused before any quadrature.  The integrand is cut
-    where its tail, at most e^(-(1-z) T)/(1-z) since I0(x) <= e^x, falls
-    below 10^-(dps + 2) of the value, which is at least 1 (_laplace_cut).
+    The integrand is cut where its tail, at most e^(-(1-z) T)/(1-z) since
+    I0(x) <= e^x, falls below 10^-(dps + 2) of the value, which is at
+    least 1 (_laplace_cut).
     """
-    with mp.workdps(_dps(prec)):
-        z = mp.mpf(z)
-        if not 0 <= z < 1:
-            raise DomainError("integral converges for 0 <= z < 1")
-        rhs = lgf_series_eval(LatticeSpec("sc", d), z, prec).value
-        return _contract_check(_laplace_sc(d, z, prec), rhs, prec)
+    return _series_identity(LatticeSpec("sc", d), z, prec,
+                            lambda z: _laplace_sc(d, z, prec))
 
 
 def bessel_diamond_check(d: int, z, prec: int = 25) -> IdentityCheck:
-    """int_0^inf t I0(zt/(d+1))^(d+1) K0(t) dt against the d-diamond series,
-    the series first as in bessel_sc_check.
+    """int_0^inf t I0(zt/(d+1))^(d+1) K0(t) dt against the d-diamond series.
 
     The integrand is at most sqrt(pi t/2) e^(-(1-z) t), by I0(x) <= e^x
     and K0(t) <= sqrt(pi/(2t)) e^-t (DLMF 10.40.10), and is 0 past the T
     of _laplace_cut, where that bound's tail falls below 10^-(dps + 2) of
     the value, which is at least 1; no I0 or K0 is computed past T.
     """
-    with mp.workdps(_dps(prec)):
-        z = mp.mpf(z)
-        if not 0 <= z < 1:
-            raise DomainError("integral converges for 0 <= z < 1")
-        rhs = lgf_series_eval(LatticeSpec("diamond", d), z, prec).value
-        return _contract_check(_k0_transform(d + 1, z, prec, _k0), rhs, prec)
+    return _series_identity(LatticeSpec("diamond", d), z, prec,
+                            lambda z: _k0_transform(d + 1, z, prec, _k0))
 
 
 def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
@@ -753,9 +768,7 @@ def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
     the mean too.
     """
     with mp.workdps(_dps(prec)):
-        z = mp.mpf(z)
-        if not 0 <= z < 1:
-            raise DomainError("0 <= z < 1")
+        z = _unit_interval(z)
         cache = {}
 
         def besselk0(t):
@@ -784,9 +797,7 @@ def abel_forward_check(d: int, z, prec: int = 20):
                 for n, t in zip(range(21), hyper_terms([Q(1, 2)], [])))
     reports = [ConditionReport("half-circle moments exact through n=20", exact)]
     with mp.workdps(_dps(prec)):
-        z = mp.mpf(z)
-        if not 0 <= z < 1:
-            raise DomainError("0 <= z < 1")
+        z = _unit_interval(z)
         r = lgf_series_eval(LatticeSpec("sc", d), z, prec)
         series = r.value
         sums = [mp.mpf(s) for s in reversed(structure_sums(d, r.terms_used))]

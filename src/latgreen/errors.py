@@ -62,9 +62,5 @@ class DivergentRequest(LatticeGFError):
     """The requested value diverges (e.g. P(0;1) on a 2d lattice)."""
 
 
-class DivergenceError(LatticeGFError):
-    """A hypergeometric summation outside its convergence region."""
-
-
 class PrecisionNotMet(LatticeGFError):
     """An evaluation could not certify the requested error bound."""

@@ -589,15 +589,6 @@ def hypergeometric_forms_check(n_max: int) -> VerifyReport:
     return VerifyReport(True, n_max, note="terminating pFq forms, d=2,3,4")
 
 
-def s5_forms_check(n_max: int) -> VerifyReport:
-    """Double-sum forms of S_n^(5) against the recurrence."""
-    rec = structure_sums(5, n_max)
-    for n in range(n_max + 1):
-        if s5_double_sum(n) != rec[n]:
-            return VerifyReport(False, n_max, n, "S^(5) double sum")
-    return VerifyReport(True, n_max, note="S^(5) double sum == recurrence")
-
-
 def _compare(a: Sequence[int], b: Sequence[int], note: str) -> VerifyReport:
     n = min(len(a), len(b)) - 1
     for i in range(n + 1):

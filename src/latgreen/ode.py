@@ -350,7 +350,7 @@ def parse_operator(text: str, note: str = "") -> ThetaOperator:
 # -- fitting -----------------------------------------------------------------
 
 
-def fit_ode(series: PowerSeries, r: int, k: int, note: str = "") -> ThetaOperator | None:
+def fit_ode(series: PowerSeries, r: int, k: int) -> ThetaOperator | None:
     """Exact annihilator of shape sum_{l<=k} z^l P_l(theta), deg P_l <= r.
 
     Returns None when the only solution is zero.  The linear system runs
@@ -393,22 +393,21 @@ def fit_ode(series: PowerSeries, r: int, k: int, note: str = "") -> ThetaOperato
             f"nullspace dimension at least 2 for r={r} k={k}: shape too generous")
     v = basis[0]
     op = ThetaOperator([[v[l * (r + 1) + j] for j in range(r + 1)]
-                        for l in range(k + 1)], note=note)
+                        for l in range(k + 1)])
     check = op.annihilates(series)
     if not check:
         raise FitFailure("candidate operator fails re-verification")
     return op
 
 
-def fit_minimal_degree(series: PowerSeries, r: int, k_max: int,
-                       note: str = "") -> ThetaOperator:
-    """First k in 1..k_max admitting a fit.  InsufficientTerms is raised
-    at the first shape the series is too short for."""
-    for k in range(1, k_max + 1):
-        op = fit_ode(series, r, k, note=note)
+def fit_minimal_degree(series: PowerSeries, r: int, max_degree: int) -> ThetaOperator:
+    """First k in 1..max_degree admitting a fit.  InsufficientTerms is
+    raised at the first shape the series is too short for."""
+    for k in range(1, max_degree + 1):
+        op = fit_ode(series, r, k)
         if op is not None:
             return op
-    raise FitFailure(f"no order-{r} operator of degree <= {k_max}")
+    raise FitFailure(f"no order-{r} operator of degree <= {max_degree}")
 
 
 # -- indicial data -----------------------------------------------------------
@@ -596,7 +595,6 @@ class YukawaData:
     K_coeffs: tuple[Fraction, ...]      # K(q) from q^0 (= 1)
     instantons: tuple[Fraction, ...]    # N_k for k = 1..depth
     s: int                              # minimal integer with s*N_k integral
-    note: str = ""
 
     def rebuilt_K(self) -> tuple[Fraction, ...]:
         """1 + sum_k k^3 N_k q^k/(1-q^k), for the round-trip invariant."""
@@ -610,8 +608,7 @@ class YukawaData:
         return tuple(out)
 
 
-def yukawa(op: ThetaOperator, n_max: int, depth: int | None = None,
-           note: str = "") -> YukawaData:
+def yukawa(op: ThetaOperator, n_max: int, depth: int | None = None) -> YukawaData:
     """Mirror map and normalized Yukawa coupling of an order-4 MUM operator.
 
     K(q) = 1 + (q d/dq)^2 [ (A_2/A_0 - (A_1/A_0)^2/2) at z(q) ], and the
@@ -650,7 +647,6 @@ def yukawa(op: ThetaOperator, n_max: int, depth: int | None = None,
         K_coeffs=tuple(kq.coeffs),
         instantons=tuple(inst),
         s=s,
-        note=note or op.note,
     )
 
 
@@ -763,13 +759,12 @@ def _poly_series_ratio(num: Poly, den: Poly, order: int) -> PowerSeries:
     return ns.div(ds)
 
 
-def wronskian_fifth_order(op4: ThetaOperator, n_max: int,
-                          k_max: int = 12) -> FifthOrderReport:
+def wronskian_fifth_order(op4: ThetaOperator, n_max: int) -> FifthOrderReport:
     """The Wronskian chain of an order-4 MUM operator.
 
     Builds w0 = x w_{01} and w1 = x w_{02} from the Frobenius basis, fits
-    the fifth-order annihilator of w0, and verifies, as exact series
-    identities:
+    the fifth-order annihilator of w0 of least degree (at most 12), and
+    verifies, as exact series identities:
 
       * the same operator kills w1 (log part included);
       * S := x W(w0, w1) equals y_0^2 E with E = exp(-(1/5) Rhat),
@@ -797,7 +792,7 @@ def wronskian_fifth_order(op4: ThetaOperator, n_max: int,
         "w1 = w0 log z + rho structure",
         w1.log_degree == 1 and w1.part(1) == w0))
 
-    op5 = fit_minimal_degree(w0, 5, k_max, note="annihilates x w01 of " + (op4.note or "op4"))
+    op5 = fit_minimal_degree(w0, 5, 12)
     conds.append(ConditionReport(
         "fifth-order operator kills w1", bool(op5.annihilates(w1)),
         detail=f"degree {op5.degree}"))

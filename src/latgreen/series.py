@@ -438,6 +438,3 @@ class LogSeries:
                 p = p + self.parts[j + 1]
             parts.append(p)
         return LogSeries(parts)
-
-    def truncate(self, order: int) -> "LogSeries":
-        return LogSeries([p.truncate(order) for p in self.parts])

@@ -3,7 +3,7 @@
 Run with  python3 -m pytest tests/test_acceptance.py -v -s  to see the
 per-criterion lines as they happen.  All fifteen run by default;
 criterion 15 builds 158 coefficients of the second 4d kernel by two
-exact routes and refits its order-8 operator, about 10 s on 2 cores.
+exact routes and refits its order-8 operator, about 4-5 s on 2 cores.
 
 Every tolerance here is the shipped one.  A red line with its detail
 string is the intended failure mode; do not widen the bounds.
@@ -205,8 +205,8 @@ def test_criterion_06():
         ("bcc3", lambda: PowerSeries([comb(2 * n, n) ** 3 for n in range(41)]), 6),
         ("fcc3", lambda: coeffs(LatticeSpec("fcc", 3), 40).as_series(), 8),
     ]
-    for label, builder, k_max in builders:
-        op3 = fit_minimal_degree(builder(), 3, k_max)
+    for label, builder, max_degree in builders:
+        op3 = fit_minimal_degree(builder(), 3, max_degree)
         _, _, r3 = symmetric_square_check(op3)
         if not r3.passed:
             bad.append(f"{label} symmetric square")

@@ -8,6 +8,7 @@ silently truncates the references.
 
 import dataclasses
 import functools
+import time
 
 import mpmath as mp
 import pytest
@@ -37,7 +38,6 @@ from latgreen.analytic import (
     watson,
 )
 from latgreen.errors import (
-    DivergenceError,
     DivergentRequest,
     DomainError,
     PrecisionNotMet,
@@ -171,6 +171,24 @@ class TestSeriesEval:
                                 tail="power-law-corrected")
             assert abs(r.value - watson("sc", 30)) < mp.mpf("1e-8")
 
+    @pytest.mark.parametrize("tail", ["none", "power-law-corrected"])
+    def test_odd_steps_refused_at_minus_one(self, tail):
+        # one step per table index: the terms at z = -1 alternate, and a
+        # one-signed n^-p tail fitted to them is meaningless
+        with pytest.raises(DomainError):
+            lgf_series_eval(LatticeSpec("fcc", 3), -1, 20, tail=tail)
+        with pytest.raises(DomainError):
+            lgf_series_eval(LatticeSpec("triangular", 2), -1, 20, tail=tail)
+
+    @pytest.mark.parametrize("family", ["bcc", "sc"])
+    @pytest.mark.parametrize("tail", ["none", "power-law-corrected"])
+    def test_even_steps_at_minus_one_equal_one(self, family, tail):
+        # two steps per table index: (-1)^(2n) = 1 term by term
+        spec = LatticeSpec(family, 3)
+        r_minus = lgf_series_eval(spec, -1, 20, tail=tail)
+        r_plus = lgf_series_eval(spec, 1, 20, tail=tail)
+        assert (r_minus.value, r_minus.error) == (r_plus.value, r_plus.error)
+
     def test_two_d_at_one_diverges(self):
         with pytest.raises(DivergentRequest):
             lgf_series_eval(LatticeSpec("square", 2), 1, 20)
@@ -236,12 +254,28 @@ class TestPFQ:
             pFq_eval(["1/2"] * 4, [1] * 3, 1, 100000)
 
     def test_divergence_guards(self):
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergentRequest):
             pFq_eval(["1/2", "1/2", "1/2"], [1], "0.5", 20)  # p > q+1
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DomainError):
             pFq_eval(["1/2", "1/2"], [1], "1.5", 20)
-        with pytest.raises(DivergenceError):
+        with pytest.raises(DivergentRequest):
             pFq_eval(["1/2", "1/2"], [1], 1, 20)  # excess 0
+
+    def test_slow_alternating_sum_refused(self):
+        # excess 1/2: the terms fall like n^(-3/2), so 25 digits need more
+        # than 10^16 of them; refused before the first term
+        started = time.monotonic()
+        with pytest.raises(ResourceLimit):
+            pFq_eval(["1/2"] * 3, [1, 1], -1, 20)
+        assert time.monotonic() - started < 1
+
+    def test_fast_alternating_sum_at_minus_one(self):
+        # excess 8: the terms fall like n^-9, some 10^4 of them at prec 30
+        prec = 30
+        v = pFq_eval([1, 1], [10], -1, prec)
+        with mp.workdps(prec + 20):
+            ref = mp.hyp2f1(1, 1, 10, -1)
+            assert abs(v - ref) <= mp.mpf(10) ** (2 - prec) * abs(ref)
 
 
 # -- Watson constants ---------------------------------------------------------

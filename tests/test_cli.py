@@ -137,6 +137,20 @@ class TestCache:
         write_cache(path, "sc", 3, values)
         assert open(path).read() == first
 
+    def test_failed_replace_keeps_old_cache(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "sc-3.txt")
+        write_cache(path, "sc", 3, [1, 6, 90])
+        before = open(path, "rb").read()
+
+        def refuse(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_cache(path, "sc", 3, [1, 6, 90, 1860])
+        assert open(path, "rb").read() == before
+        assert not list(tmp_path.glob(".lgf-tmp-*"))
+
     def test_header_matches_count(self, tmp_path):
         path = str(tmp_path / "sc-3.txt")
         write_cache(path, "sc", 3, [1, 6, 90])
@@ -486,6 +500,9 @@ class TestRunner:
         # and some 2 10^6 big-integer row entries before it starts
         (["ode", "fit", "--family", "square", "--dim", "2", "--terms", "1500",
           "--order", "40", "--degree", "35"], LIMIT, "ResourceLimit"),
+        # one step per table index: the z = -1 terms alternate
+        (["eval", "lgf", "--family", "fcc", "--dim", "3", "--z", "-1",
+          "--tail", "corrected", "--prec", "20"], USAGE, "DomainError"),
     ])
     def test_error_document(self, capsys, tmp_path, argv, code, error):
         bad = tmp_path / "bad.txt"

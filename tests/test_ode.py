@@ -571,13 +571,13 @@ def test_symmetric_square_sc3():
     assert q == expected_q
 
 
-@pytest.mark.parametrize("builder,k_max", [
+@pytest.mark.parametrize("builder,max_degree", [
     (lambda: PowerSeries(structure_sums(4, 40)), 6),
     (lambda: catalan_power(3, 40), 6),
     (lambda: coeffs(LatticeSpec("fcc", 3), 40).as_series(), 8),
 ])
-def test_three_dim_operators_are_symmetric_squares(builder, k_max):
-    op = fit_minimal_degree(builder(), 3, k_max)
+def test_three_dim_operators_are_symmetric_squares(builder, max_degree):
+    op = fit_minimal_degree(builder(), 3, max_degree)
     _, _, rep = symmetric_square_check(op)
     assert rep.passed
 

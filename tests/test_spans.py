@@ -28,15 +28,18 @@ def test_every_wrapped_name_resolves():
         assert callable(getattr(target, attr)), (mod, owner, attr)
 
 
-@pytest.mark.parametrize("imports,loaded", [
+@pytest.mark.parametrize("imports,loaded,mpmath", [
     # perfbench/tables.py
     ("from latgreen import constant_term, lattices",
-     ["constant_term", "errors", "lattices", "reports", "series"]),
+     ["constant_term", "errors", "lattices", "reports", "series"], False),
     # perfbench/operators.py
     ("from latgreen import lattices, ode\nfrom latgreen.series import PowerSeries",
-     ["errors", "lattices", "linalg", "ode", "ratfunc", "reports", "series"]),
-], ids=["tables", "operators"])
-def test_workload_imports_load_only_their_layers(imports, loaded):
+     ["errors", "lattices", "linalg", "ode", "ratfunc", "reports", "series"], False),
+    # perfbench/numerics.py
+    ("from latgreen import analytic\nfrom latgreen.lattices import LatticeSpec",
+     ["analytic", "errors", "lattices", "reports", "series", "surd"], True),
+], ids=["tables", "operators", "numerics"])
+def test_workload_imports_load_only_their_layers(imports, loaded, mpmath):
     # a workload's set-up time includes compiling every module it loads
     code = (f"{imports}\nimport json, sys\n"
             "print(json.dumps([sorted(m.split('.', 1)[1] for m in sys.modules"
@@ -44,4 +47,4 @@ def test_workload_imports_load_only_their_layers(imports, loaded):
             " 'mpmath' in sys.modules]))\n")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
-    assert json.loads(proc.stdout) == [loaded, False], proc.stderr
+    assert json.loads(proc.stdout) == [loaded, mpmath], proc.stderr
