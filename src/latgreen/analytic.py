@@ -236,16 +236,17 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
 def pFq_eval(upper, lower, x, prec: int = 30):
     """pFq by direct summation; the value alone, no error bound.
 
-    For |x| < 1, and at x = -1, the terms are summed until one falls
-    below 10**-(prec + 5) of the partial sum.  At x = 1 the terms decay
-    like n^(sum(upper)-sum(lower)-1) and the partial sum is completed with
-    the fitted power-law tail; this is the path that reaches the
-    hyper-bcc d=4 value.  A prec whose term count there passes _WORK_CAP
-    is refused before any term is formed, and so is an alternating p = q+1
-    sum at x = -1 whose terms, falling like n^-(1 + excess), would need
-    more than 10^6 of them (ResourceLimit).  DomainError for |x| > 1,
-    DivergentRequest for a sum that diverges (p > q+1, or too small a
-    parameter excess on the unit circle).
+    The terms are summed until one falls below 10**-(prec + 5) of the
+    partial sum.  For p <= q they fall factorially, so this covers the
+    whole closed disk |x| <= 1.  For p = q+1 they fall like
+    |x|^n n^-(1 + excess), excess = sum(lower) - sum(upper): at x = 1 the
+    partial sum is completed with the fitted power-law tail instead, which
+    is the path that reaches the hyper-bcc d=4 value, and a prec whose term
+    count there passes _WORK_CAP is refused before any term is formed; at
+    any other x, a sum whose 10^6-th term would still be above
+    10**-(prec + 5) is refused before the first term (ResourceLimit).
+    DomainError for |x| > 1, DivergentRequest for a sum that diverges
+    (p > q+1, or p = q+1 with too small an excess on the unit circle).
     """
     upper = [Q(u) for u in upper]
     lower = [Q(l) for l in lower]
@@ -257,20 +258,22 @@ def pFq_eval(upper, lower, x, prec: int = 30):
             raise DomainError("|x| > 1 outside the convergence disk")
         if x == 0:
             return mp.mpf(1)
-        if abs(x) == 1:
+        if len(upper) == len(lower) + 1:
             excess = sum(lower) - sum(upper)
             if x == 1 and excess <= 0:
                 raise DivergentRequest(f"parameter excess {excess} <= 0 at x = 1")
             if x == -1 and excess <= -1:
                 raise DivergentRequest(f"parameter excess {excess} <= -1 at x = -1")
-            if (x == -1 and len(upper) == len(lower) + 1
-                    and (prec + 5) / (1 + excess) > 6):
-                raise ResourceLimit(f"terms at x = -1 fall like n^-{1 + excess}: "
-                                    f"prec {prec} needs more than 10^6 of them")
-        if x == 1:
-            ts = _terms_at_one(upper, lower, prec)
-            tail3, _ = _power_law_tail(ts, mp.mpf(1) + excess, len(ts) - 1)
-            return mp.fsum(ts) + tail3
+            if x == 1:
+                ts = _terms_at_one(upper, lower, prec)
+                tail3, _ = _power_law_tail(ts, mp.mpf(1) + excess, len(ts) - 1)
+                return mp.fsum(ts) + tail3
+            # is log10 of |x|^n n^-(1 + excess) at n = 10^6 above -(prec + 5)?
+            slack = 6 * (1 + excess) - (prec + 5)
+            if 10 ** 6 * mp.log10(abs(x)) > mp.mpf(slack.numerator) / slack.denominator:
+                raise ResourceLimit(f"terms fall like |x|^n n^-{1 + excess} at "
+                                    f"x = {mp.nstr(x, 8)}: prec {prec} needs more "
+                                    "than 10^6 of them")
         target = mp.mpf(10) ** (-(prec + 5))
         total = mp.mpf(0)
         for n, t in enumerate(islice(hyper_terms(upper, lower, x, one=mp.mpf(1)), 10 ** 6)):

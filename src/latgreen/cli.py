@@ -215,7 +215,7 @@ def _load_operator(args):
         with open(args.op_file) as fh:
             text = fh.read()
         try:
-            return parse_operator(text, note=args.op_file)
+            return parse_operator(text)
         except ValueError as exc:
             raise UsageExit(f"--op-file {args.op_file}: {exc}") from None
     if args.name:
@@ -225,19 +225,25 @@ def _load_operator(args):
 
 
 def _series_for(args, op, n_max: int) -> tuple[PowerSeries, str]:
+    """The series an `ode` command checks or fits, and its source: the
+    --series-cache file, else the table of the lattice that --family/--dim
+    or the operator name names, else C(2n,n)^d for iwan<d>, else the
+    operator's own recurrence.  A cache must hold the named lattice."""
+    name = getattr(args, "name", None)
+    if args.family:
+        spec = LatticeSpec(args.family, args.dim)
+    else:
+        spec = parse_lattice(name) if name else None
     if args.series_cache:
         try:
-            _, _, values = read_cache(args.series_cache)
+            cfam, cdim, values = read_cache(args.series_cache)
+            if spec is not None and (cfam, cdim) != (spec.family, spec.dim):
+                raise ValueError(f"cache is for {cfam}-{cdim}")
         except ValueError as exc:
             raise UsageExit(f"--series-cache {args.series_cache}: {exc}") from None
         if len(values) < n_max + 1:
             raise UsageExit(f"cache holds {len(values)} terms, need {n_max + 1}")
         return PowerSeries(values[: n_max + 1]), "cache"
-    if args.family:
-        spec = LatticeSpec(args.family, args.dim)
-        return PowerSeries(list(coeffs(spec, n_max).values)), "table"
-    name = getattr(args, "name", None)
-    spec = parse_lattice(name) if name else None
     if spec is not None:
         return PowerSeries(list(coeffs(spec, n_max).values)), "table"
     if name and name.startswith("iwan"):
@@ -394,14 +400,16 @@ def cmd_eval_return_prob(args) -> dict:
 
 # -- wiring -------------------------------------------------------------------
 
-def _add_op_args(p, with_series=False, terms_default=40):
+def _add_op_args(p, terms_default=40):
     p.add_argument("name", nargs="?", help="registry operator name")
     p.add_argument("--op-file", help="operator exchange file")
     p.add_argument("--terms", type=_at_least(1), default=terms_default)
-    if with_series:
-        p.add_argument("--family")
-        p.add_argument("--dim", type=int, default=0)
-        p.add_argument("--series-cache", help="cache file supplying the series")
+
+
+def _add_series_args(p):
+    p.add_argument("--family")
+    p.add_argument("--dim", type=int, default=0)
+    p.add_argument("--series-cache", help="cache file supplying the series")
 
 
 def build_parser() -> _Parser:
@@ -422,12 +430,11 @@ def build_parser() -> _Parser:
     po = sub.add_parser("ode", help="operator checks and fits")
     osub = po.add_subparsers(dest="action", required=True)
     pv = osub.add_parser("verify")
-    _add_op_args(pv, with_series=True)
+    _add_op_args(pv)
+    _add_series_args(pv)
     pv.set_defaults(func=cmd_ode_verify)
     pf = osub.add_parser("fit")
-    pf.add_argument("--family")
-    pf.add_argument("--dim", type=int, default=0)
-    pf.add_argument("--series-cache")
+    _add_series_args(pf)
     pf.add_argument("--terms", type=positive, default=60)
     pf.add_argument("--order", type=positive, required=True)
     pf.add_argument("--degree", type=natural)

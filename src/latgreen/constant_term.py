@@ -33,7 +33,7 @@ from operator import add
 
 from .errors import ResourceLimit, UnsupportedTerm
 from .lattices import LatticeSpec
-from .reports import VerifyReport
+from .reports import VerifyReport, compare
 
 CT_WORK_CAP = 10 ** 8  # powers x classes x kernel terms one walk may cost
 
@@ -399,12 +399,8 @@ def ct_series(kspec: KernelSpec, n_max: int) -> list[int]:
 
 def kernel_equivalence(k1: KernelSpec, k2: KernelSpec, n_max: int) -> VerifyReport:
     """Do the two kernels generate identical CT sequences through n_max?"""
-    a = ct_sequence(k1, n_max)
-    b = ct_sequence(k2, n_max)
-    for n in range(n_max + 1):
-        if a[n] != b[n]:
-            return VerifyReport(False, n_max, n, f"{k1.label or 'k1'} vs {k2.label or 'k2'}")
-    return VerifyReport(True, n_max, note=f"{k1.label or 'k1'} == {k2.label or 'k2'}")
+    return compare(ct_sequence(k1, n_max), ct_sequence(k2, n_max),
+                   f"{k1.label or 'k1'} vs {k2.label or 'k2'}")
 
 
 # ---------------------------------------------------------------------------

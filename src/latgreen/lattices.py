@@ -37,7 +37,7 @@ from math import comb, factorial, gcd, prod
 from typing import Callable, Mapping, Sequence
 
 from .errors import ResourceLimit, UnsupportedLattice, UnsupportedTerm
-from .reports import VerifyReport
+from .reports import VerifyReport, compare
 from .series import PowerSeries, binomial_transform, hyper_terms
 
 Q = Fraction
@@ -195,10 +195,6 @@ def structure_sums(d: int, n_max: int) -> list[int]:
         prev = row
         row = [sum(comb(n, m) ** 2 * prev[m] for m in range(n + 1)) for n in range(n_max + 1)]
     return row
-
-
-def structure_sum(d: int, n: int) -> int:
-    return structure_sums(d, n)[n]
 
 
 # explicit finite-sum forms, used to cross-check the recurrence
@@ -536,14 +532,14 @@ def relation_triangular_from_honeycomb(n_max: int) -> VerifyReport:
     transform with weight (-3)^(n-j), checked exactly against the counts
     derived from the triangular step kernel."""
     tri = cosine_integer_table("triangular", n_max)
-    return _compare(tri, _pullback(2, n_max), "triangular from honeycomb")
+    return compare(tri, _pullback(2, n_max), "triangular from honeycomb")
 
 
 def relation_fcc_from_diamond(n_max: int) -> VerifyReport:
     """fcc counts from diamond ones, weight (-4)^(n-j), against the
     counts derived from the fcc step kernel."""
     fcc = cosine_integer_table("fcc3", n_max)
-    return _compare(fcc, _pullback(3, n_max), "fcc from diamond")
+    return compare(fcc, _pullback(3, n_max), "fcc from diamond")
 
 
 def relation_sc_from_hyperdiamond(d: int, n_max: int) -> VerifyReport:
@@ -562,7 +558,7 @@ def relation_sc_from_hyperdiamond(d: int, n_max: int) -> VerifyReport:
     else:
         inner = structure_sums(d, n_max)
     derived = [comb(2 * n, n) * inner[n] for n in range(n_max + 1)]
-    return _compare(sc_vals, derived, f"sc d={d} from hyper-diamond d={d - 1}")
+    return compare(sc_vals, derived, f"sc d={d} from hyper-diamond d={d - 1}")
 
 
 def hypergeometric_forms_check(n_max: int) -> VerifyReport:
@@ -573,6 +569,7 @@ def hypergeometric_forms_check(n_max: int) -> VerifyReport:
     the printed parameter list does not reproduce C(2l,l) and is
     dropped).
     """
+    s3, s4 = structure_sums(3, n_max), structure_sums(4, n_max)
     for l in range(n_max + 1):
         cl = comb(2 * l, l)
         # each sum has the upper parameter -l, so its terms past n = l are 0
@@ -582,16 +579,8 @@ def hypergeometric_forms_check(n_max: int) -> VerifyReport:
                                               [Q(1), Q(1), Q(1, 2) - l]), l + 1))
         if a2 != comb(2 * l, l) ** 2:
             return VerifyReport(False, n_max, l, "d=2 form")
-        if a3 != cl * structure_sum(3, l):
+        if a3 != cl * s3[l]:
             return VerifyReport(False, n_max, l, "d=3 form")
-        if a4 != cl * structure_sum(4, l):
+        if a4 != cl * s4[l]:
             return VerifyReport(False, n_max, l, "d=4 form")
     return VerifyReport(True, n_max, note="terminating pFq forms, d=2,3,4")
-
-
-def _compare(a: Sequence[int], b: Sequence[int], note: str) -> VerifyReport:
-    n = min(len(a), len(b)) - 1
-    for i in range(n + 1):
-        if a[i] != b[i]:
-            return VerifyReport(False, n, i, note)
-    return VerifyReport(True, n, note=note)

@@ -6,7 +6,7 @@ variable: for the even-step lattices that variable is the one in which
 the stored table IS the solution, i.e. y = sum a_{2n} z^n with raw
 integer counts (so bcc4's theta^4 - 16z(2theta+1)^4 kills
 sum C(2n,n)^4 z^n directly, and the quadratic map back to the physical
-expansion variable is recorded in the operator's note string).
+expansion variable is noted beside each registry builder).
 An operator stores its rows as primitive integers, and a fit builds
 its linear system from the integer numerators of the series over their
 common denominator; both clear denominators through series._numerators.
@@ -80,9 +80,9 @@ class ThetaOperator:
     equality means equality.
     """
 
-    __slots__ = ("p", "note")
+    __slots__ = ("p",)
 
-    def __init__(self, p: Sequence[Sequence], note: str = ""):
+    def __init__(self, p: Sequence[Sequence]):
         rows = [[Q(c) for c in row] for row in p]
         if not rows:
             raise ValueError("need at least P_0")
@@ -107,7 +107,6 @@ class ThetaOperator:
         self.p: tuple[tuple[int, ...], ...] = tuple(
             tuple(c // g for c in ints[i:i + width]) for i in range(0, len(ints), width)
         )
-        self.note = note
 
     @property
     def order(self) -> int:
@@ -162,27 +161,27 @@ class ThetaOperator:
 
 
 def _op_sc4() -> ThetaOperator:
+    # kills sum binom(2n,n) S_n^(4) z^n; physical P(0;w) = y(w^2/64)
     th = Poly([0, 1])
     p0 = th ** 4
     p1 = Poly([1, 2]) ** 2 * Poly([2, 5, 5]) * Q(-4)
     p2 = Poly([1, 1]) ** 2 * Poly([1, 2]) * Poly([3, 2]) * Q(256)
-    return ThetaOperator(
-        [p0.coeffs, p1.coeffs, p2.coeffs],
-        note="kills sum binom(2n,n) S_n^(4) z^n; physical P(0;w)=y(w^2/64)")
+    return ThetaOperator([p0.coeffs, p1.coeffs, p2.coeffs])
 
 
 def _op_diamond4() -> ThetaOperator:
+    # kills sum S_n^(5) z^n; physical P(0;w) = y(w^2/25)
     th = Poly([0, 1])
     p0 = th ** 4
     p1 = -Poly([5, 28, 63, 70, 35])
     p2 = Poly([1, 1]) ** 2 * Poly([285, 518, 259])
     p3 = Poly([1, 1]) ** 2 * Poly([2, 1]) ** 2 * Q(-225)
-    return ThetaOperator(
-        [p0.coeffs, p1.coeffs, p2.coeffs, p3.coeffs],
-        note="kills sum S_n^(5) z^n; physical P(0;w)=y(w^2/25)")
+    return ThetaOperator([p0.coeffs, p1.coeffs, p2.coeffs, p3.coeffs])
 
 
 def _op_fcc4() -> ThetaOperator:
+    # kills the 4d fcc count series sum a_n z^n (a_2 = 24); singular points
+    # 0, 1/24, -1/3, -1/4, -1/8, -1/12
     th = Poly([0, 1])
     p0 = th ** 4
     p1 = Poly([0, -4, -19, -30, 39])
@@ -194,30 +193,27 @@ def _op_fcc4() -> ThetaOperator:
     p7 = Poly([1, 1]) * Poly([2, 1]) ** 2 * Poly([3, 1]) * Q(-(2 ** 12) * 3 ** 7)
     return ThetaOperator(
         [p0.coeffs, p1.coeffs, p2.coeffs, p3.coeffs,
-         p4.coeffs, p5.coeffs, p6.coeffs, p7.coeffs],
-        note="kills the 4d fcc count series sum a_n z^n (a_2=24); "
-             "singular points 0, 1/24, -1/3, -1/4, -1/8, -1/12")
+         p4.coeffs, p5.coeffs, p6.coeffs, p7.coeffs])
 
 
 def _op_sc3() -> ThetaOperator:
     # Mechanical rewrite of the third-order x-space ODE
     # 4x^2(x-1)(x-9)f''' + 12x(2x^2-15x+9)f'' + 3(9x^2-44x+12)f' + 3(x-2)f = 0
     # into theta form, then rescaled so P_0 = theta^3 and the solution is the
-    # raw even-count series sum a_{2n} z^n (a_1 = 6).
+    # raw even-count series sum a_{2n} z^n (a_1 = 6): z = x/36 with x the
+    # physical z^2.
     return ThetaOperator(
         [[0, 0, 0, 1],
          [-6, -32, -60, -40],
-         [108, 396, 432, 144]],
-        note="kills sum a_{2n}(sc3) z^n; z = x/36 with x the physical z^2")
+         [108, 396, 432, 144]])
 
 
 def _op_iwan(d: int) -> ThetaOperator:
+    # kills sum C(2n,n)^d z^n (hyper-bcc); physical P(0;w) = y(w^2/4^d)
     th = Poly([0, 1])
     p0 = th ** d
     p1 = Poly([1, 2]) ** d * Q(-(2 ** d))
-    return ThetaOperator([p0.coeffs, p1.coeffs],
-                         note=f"kills sum C(2n,n)^{d} z^n (hyper-bcc, d={d}); "
-                              f"physical P(0;w)=y(w^2/{4 ** d})")
+    return ThetaOperator([p0.coeffs, p1.coeffs])
 
 
 def triple_operator(order: int, a, b, c) -> ThetaOperator:
@@ -234,8 +230,7 @@ def triple_operator(order: int, a, b, c) -> ThetaOperator:
         p2 = Poly([1, 1]) ** 3 * c
     else:
         raise ValueError("triple operators exist for orders 2 and 3")
-    return ThetaOperator([p0.coeffs, p1.coeffs, p2.coeffs],
-                         note=f"triple ({a},{b},{c}) order {order}")
+    return ThetaOperator([p0.coeffs, p1.coeffs, p2.coeffs])
 
 
 _REGISTRY = {
@@ -274,7 +269,7 @@ def rescale_operator(op: ThetaOperator, lam) -> ThetaOperator:
     for row in op.p:
         rows.append([c * s for c in row])
         s *= lam
-    return ThetaOperator(rows, note=op.note + f" [z -> {lam} z]")
+    return ThetaOperator(rows)
 
 
 # -- D-form conversions ------------------------------------------------------
@@ -293,7 +288,7 @@ def to_dform(op: ThetaOperator) -> list[Poly]:
     return out
 
 
-def from_dform(bs: Sequence[Poly], note: str = "") -> ThetaOperator:
+def from_dform(bs: Sequence[Poly]) -> ThetaOperator:
     """Inverse of to_dform: z^m D^i = z^(m-i) * theta(theta-1)..;  the whole
     operator is premultiplied by the z power that clears negative shifts."""
     terms: dict[int, Poly] = {}
@@ -311,7 +306,7 @@ def from_dform(bs: Sequence[Poly], note: str = "") -> ThetaOperator:
     rows = []
     for l in range(lo, hi + 1):
         rows.append(list(terms.get(l, Poly([0])).coeffs))
-    return ThetaOperator(rows, note=note)
+    return ThetaOperator(rows)
 
 
 def monic_dform(op: ThetaOperator) -> list[RatFunc]:
@@ -330,7 +325,7 @@ def write_operator(op: ThetaOperator) -> str:
     return "".join(f"{l} : {' '.join(map(str, row))}\n" for l, row in enumerate(op.p))
 
 
-def parse_operator(text: str, note: str = "") -> ThetaOperator:
+def parse_operator(text: str) -> ThetaOperator:
     rows: dict[int, list[Fraction]] = {}
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -344,7 +339,7 @@ def parse_operator(text: str, note: str = "") -> ThetaOperator:
     if not rows or min(rows) != 0:
         raise ValueError("operator file must contain lines l : c_0 ... starting at l=0")
     k = max(rows)
-    return ThetaOperator([rows.get(l, [Q(0)]) for l in range(k + 1)], note=note)
+    return ThetaOperator([rows.get(l, [Q(0)]) for l in range(k + 1)])
 
 
 # -- fitting -----------------------------------------------------------------
@@ -591,7 +586,6 @@ def _moebius(n: int) -> int:
 @dataclass(frozen=True)
 class YukawaData:
     q_coeffs: tuple[Fraction, ...]      # q(z) = z exp(A_1/A_0), from z^1
-    z_coeffs: tuple[Fraction, ...]      # inverse series z(q), from q^1
     K_coeffs: tuple[Fraction, ...]      # K(q) from q^0 (= 1)
     instantons: tuple[Fraction, ...]    # N_k for k = 1..depth
     s: int                              # minimal integer with s*N_k integral
@@ -628,8 +622,7 @@ def yukawa(op: ThetaOperator, n_max: int, depth: int | None = None) -> YukawaDat
     c = a2.div(a0)
     w = c - b * b * Q(1, 2)
     qz = PowerSeries.var(n_max) * b.exp()
-    zq = qz.reversion()
-    wq = w.compose(zq)
+    wq = w.compose(qz.reversion())
     kq = wq.theta().theta() + 1
     inst = []
     for k in range(1, depth + 1):
@@ -643,7 +636,6 @@ def yukawa(op: ThetaOperator, n_max: int, depth: int | None = None) -> YukawaDat
     _, s = _numerators(inst)
     return YukawaData(
         q_coeffs=tuple(qz.coeffs[1:]),
-        z_coeffs=tuple(zq.coeffs[1:]),
         K_coeffs=tuple(kq.coeffs),
         instantons=tuple(inst),
         s=s,
@@ -711,19 +703,16 @@ def cy_conditions_report(op: ThetaOperator, n_max: int) -> list[ConditionReport]
 # -- Appell symmetric square -------------------------------------------------
 
 
-def symmetric_square_check(op3) -> tuple[RatFunc, RatFunc, VerifyReport]:
+def symmetric_square_check(op3: ThetaOperator) -> tuple[RatFunc, RatFunc, VerifyReport]:
     """Test whether a third-order operator is the symmetric square of a
-    second-order one:  f''' + 3P f'' + (2P^2 + P' + 4Q) f' + (4PQ + 2Q') f.
+    second-order one:  f''' + 3P f'' + (2P^2 + P' + 4Q) f' + (4PQ + 2Q') f
+    in its monic D-form.
 
-    Accepts a ThetaOperator or a monic D-form [a_0, a_1, a_2] of RatFunc.
     Returns the second-order data (P, Q) with g'' + P g' + Q g = 0, or
     raises NotSymmetricSquare with the residual."""
-    if isinstance(op3, ThetaOperator):
-        if op3.order != 3:
-            raise ValueError("need a third-order operator")
-        a0, a1, a2 = monic_dform(op3)
-    else:
-        a0, a1, a2 = op3
+    if op3.order != 3:
+        raise ValueError("need a third-order operator")
+    a0, a1, a2 = monic_dform(op3)
     p = a2 / 3
     q = (a1 - 2 * p * p - p.derivative()) / 4
     residual = a0 - (4 * p * q + 2 * q.derivative())
@@ -843,15 +832,14 @@ def wronskian_fifth_order(op4: ThetaOperator, n_max: int) -> FifthOrderReport:
 # -- integrality checks for the triple families ------------------------------
 
 
-def triple_integrality(op: ThetaOperator, n_y0: int = 50,
-                       n_q: int = 30) -> list[ConditionReport]:
-    """Integrality of y_0 and of the mirror-type series q(z) = z exp(g/y_0)
-    for the order-2/order-3 two-parameter families."""
-    basis = frobenius(op, max(n_y0, n_q))
-    a0 = basis.log_free_parts()[0]
-    a1 = basis.log_free_parts()[1]
+def triple_integrality(op: ThetaOperator) -> list[ConditionReport]:
+    """Integrality of y_0 through n = 50 and of the mirror-type series
+    q(z) = z exp(g/y_0) through n = 30 for the order-2/order-3
+    two-parameter families."""
+    n_y0, n_q = 50, 30
+    a0, a1 = frobenius(op, n_y0).log_free_parts()[:2]
     qz = PowerSeries.var(n_q) * a1.truncate(n_q).div(a0.truncate(n_q)).exp()
-    conds = [
+    return [
         ConditionReport(
             "y_0 integral", all(c.denominator == 1 for c in a0.coeffs[: n_y0 + 1]),
             detail=f"through n = {min(n_y0, a0.order)}"),
@@ -859,4 +847,3 @@ def triple_integrality(op: ThetaOperator, n_y0: int = 50,
             "q-series integral", all(c.denominator == 1 for c in qz.coeffs),
             detail=f"through n = {qz.order}"),
     ]
-    return conds

@@ -129,14 +129,6 @@ class Poly:
     def derivative(self) -> "Poly":
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def shift(self, a) -> "Poly":
-        """p(x + a)."""
-        out = Poly(())
-        xa = Poly((Q(a), 1))
-        for c in reversed(self.coeffs):
-            out = out * xa + c
-        return out
-
     def monic(self) -> "Poly":
         if not self:
             return self

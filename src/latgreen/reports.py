@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -16,6 +17,15 @@ class VerifyReport:
 
     def __bool__(self) -> bool:
         return self.passed
+
+
+def compare(a: Sequence[int], b: Sequence[int], note: str) -> VerifyReport:
+    """Entry-by-entry equality of two exact tables over their common length."""
+    n = min(len(a), len(b)) - 1
+    for i in range(n + 1):
+        if a[i] != b[i]:
+            return VerifyReport(False, n, i, note)
+    return VerifyReport(True, n, note=note)
 
 
 @dataclass

@@ -403,12 +403,9 @@ class LogSeries:
     def __sub__(self, other: "LogSeries") -> "LogSeries":
         return self + (-other)
 
-    def scale(self, c: Scalar) -> "LogSeries":
-        return LogSeries([p * _q(c) for p in self.parts])
-
     def __mul__(self, other: "LogSeries | PowerSeries | Scalar") -> "LogSeries":
         if isinstance(other, (int, Fraction)):
-            return self.scale(other)
+            return LogSeries([p * _q(other) for p in self.parts])
         if isinstance(other, PowerSeries):
             other = LogSeries([other])
         # (sum f_j L^j/j!)(sum g_k L^k/k!) : part m = sum_{j+k=m} C(m,j) f_j g_k

@@ -399,7 +399,7 @@ def test_criterion_13():
         op = registry(name)
         if op.series_solution(5)[1] != a1:
             bad.append(f"{name} a_1")
-        reps = triple_integrality(op, 50, 30)
+        reps = triple_integrality(op)
         if len(reps) != 2 or not all(r.passed for r in reps):
             bad.append(f"{name} integrality")
     assert _report(13, not bad,

@@ -277,6 +277,24 @@ class TestPFQ:
             ref = mp.hyp2f1(1, 1, 10, -1)
             assert abs(v - ref) <= mp.mpf(10) ** (2 - prec) * abs(ref)
 
+    @pytest.mark.parametrize("x", [1, -1])
+    def test_p_below_q_plus_one_on_the_unit_circle(self, x):
+        # 1F2(5; 1, 1; x): the terms fall factorially, so no parameter
+        # excess rule applies and the plain sum converges at x = 1 and -1
+        prec = 20
+        v = pFq_eval([5], [1, 1], x, prec)
+        with mp.workdps(prec + 20):
+            ref = mp.hyper([5], [1, 1], x)
+            assert abs(v - ref) <= mp.mpf(10) ** (2 - prec) * abs(ref)
+
+    def test_slow_sum_inside_the_disk_refused(self):
+        # excess 1/2: the terms fall like 0.99999^n n^(-3/2), still some
+        # 10^-14 at n = 10^6; refused before the first term
+        started = time.monotonic()
+        with pytest.raises(ResourceLimit):
+            pFq_eval(["1/2"] * 3, [1, 1], "0.99999", 20)
+        assert time.monotonic() - started < 1
+
 
 # -- Watson constants ---------------------------------------------------------
 
@@ -419,10 +437,11 @@ class TestClosedForms:
                 v = rogers_3f2(tgt, "0.3", 40)
                 assert abs(v - series_at(spec, mp.mpf("0.3"))) < mp.mpf("1e-12")
 
-    @pytest.mark.parametrize("z", ["0.15", "0.3", "0.6", "0.9"])
+    @pytest.mark.parametrize("z", ["0.15", "0.3", "0.35", "0.6", "0.9"])
     @pytest.mark.parametrize("target", ["diamond", "fcc"])
     def test_rogers_matches_mpmath_hyper(self, target, z):
-        # the module contract against mpmath's generic hyper at 20 more digits
+        # the module contract against mpmath's generic hyper at 20 more
+        # digits; the 3F2 arguments stay at or below 0.8 up to z = 0.9
         prec = 30
         with mp.workdps(prec + 20):
             x = mp.mpf(z)

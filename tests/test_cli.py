@@ -242,6 +242,14 @@ class TestOde:
         assert code == FAIL
         assert doc["passed"] is False
 
+    def test_series_cache_names_its_lattice(self, capsys, tmp_path):
+        # the message `coeffs --cache-dir` gives for a cache of another lattice
+        path = str(tmp_path / "bcc-4.txt")
+        write_cache(path, "bcc", 4, list(coeffs(LatticeSpec("bcc", 4), 40).values))
+        code, doc = run_json(capsys, "ode", "verify", "sc4", "--series-cache", path)
+        assert code == USAGE
+        assert doc["error"]["message"].endswith("cache is for bcc-4")
+
     def test_operator_file_round_trip(self, capsys, tmp_path):
         out = str(tmp_path / "iwan3.txt")
         run_json(capsys, "ode", "fit", "--family", "bcc", "--dim", "3",
@@ -503,12 +511,19 @@ class TestRunner:
         # one step per table index: the z = -1 terms alternate
         (["eval", "lgf", "--family", "fcc", "--dim", "3", "--z", "-1",
           "--tail", "corrected", "--prec", "20"], USAGE, "DomainError"),
+        # a cache of another lattice than the one the command names
+        (["ode", "fit", "--family", "sc", "--dim", "4", "--order", "4", "--terms", "40",
+          "--series-cache", "{bcc4}"], USAGE, "UsageExit"),
+        (["ode", "verify", "sc4", "--series-cache", "{bcc4}"], USAGE, "UsageExit"),
     ])
     def test_error_document(self, capsys, tmp_path, argv, code, error):
         bad = tmp_path / "bad.txt"
         bad.write_text("not an operator or a cache\n")
+        bcc4 = tmp_path / "bcc-4.txt"
+        write_cache(str(bcc4), "bcc", 4, list(coeffs(LatticeSpec("bcc", 4), 40).values))
         started = time.monotonic()
-        got, doc = run_json(capsys, *[a.replace("{bad}", str(bad)) for a in argv])
+        got, doc = run_json(capsys, *[a.replace("{bad}", str(bad)).replace("{bcc4}", str(bcc4))
+                                      for a in argv])
         if code == LIMIT:
             # a resource limit is refused before the work starts
             assert time.monotonic() - started < 2
@@ -554,6 +569,8 @@ class TestRunner:
          ["mpmath", "latgreen.analytic", "latgreen.ode", "latgreen.linalg"]),
         (["ode", "verify", "sc4", "--terms", "10", "--series-cache", "{cache}"],
          ["mpmath", "latgreen.analytic"]),
+        (["eval", "watson", "--lattice", "sc", "--prec", "20"],
+         ["latgreen.ode", "latgreen.linalg", "latgreen.ratfunc"]),
     ])
     def test_command_loads_only_its_layers(self, tmp_path, argv, absent):
         cache = tmp_path / "sc-4.txt"

@@ -29,7 +29,6 @@ from latgreen.ode import (
     from_dform,
     indicial,
     moebius_pullback,
-    monic_dform,
     parse_operator,
     registry,
     registry_names,
@@ -587,12 +586,6 @@ def test_symmetric_square_negative():
                                [108, 396, 432, 144]])
     with pytest.raises(NotSymmetricSquare):
         symmetric_square_check(perturbed)
-
-
-def test_symmetric_square_accepts_monic_dform():
-    trips = monic_dform(registry("sc3"))
-    _, _, rep = symmetric_square_check(tuple(trips))
-    assert rep.passed
 
 
 # -- second/third order pairs with integral structure -------------------------
