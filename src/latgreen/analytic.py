@@ -15,21 +15,28 @@ two_over_pi_K, by mpmath's AGM.  Every lattice series at |z| < 1 (the
 honeycomb maps and the series sides of the Bessel and Abel identities)
 is summed by lgf_series_eval, whose term count follows prec and |z| by
 one rule, _terms_below_one; the tables of convention_report follow the
-same rule.  Every hypergeometric sum takes its terms from one generator,
-series.hyper_terms, with integer term ratios: pFq_eval, the hyper-bcc
-P(0;1), the single-3F2 forms of rogers_3f2 (through pFq_eval) and the
-exact half-circle moments of abel_forward_check.  The
-half-circle integrals (Abel, Bessel connection, 4d double elliptic) are
-all (2/pi) int_0^(pi/2) f(sin phi) dphi with f even and analytic, and
-run by one periodic trapezoid rule, _quarter_period_mean, which
-converges geometrically on such integrands; the [0, inf) Laplace and K0
-integrals stay on mp.quad, their integrands set to 0 past a point T
-(_laplace_cut) where I0(x) <= e^x and K0(t) <= sqrt(pi/(2t)) e^-t prove
-the tail below 10^-(dps + 2) of the value.  K0 and I0 come from _k0 and
-_i0, in place of mpmath's generic besselk and besseli: the ascending
-series (DLMF 10.31.2 and 10.25.2, one fixed-point term loop) below
-1.2 (dps + 5) and the asymptotic series (DLMF 10.40.2 and 10.40.1, one
-term loop; remainder bounds 10.40.10 and 10.40.11) above it.
+same rule.  Every numeric series sum is taken with integers only, in
+fixed point, by the two kernels of series, each step one floor under the
+proved rounding bound of series.fixed_bits: horner_fixed sums the
+lattice tables at the exact binary rational of z (_table_sum, for
+lgf_series_eval and convention_report) and the Ramanujan sums, whose A,
+B and x0 in Q(sqrt3) it takes as single fixed-point reals
+(_surd_series); hyper_terms_fixed, the integer term ratio of
+series.hyper_terms with a floor division, gives the terms of pFq_eval,
+the hyper-bcc P(0;1) and the single-3F2 forms of rogers_3f2 (through
+pFq_eval).  The exact half-circle moments of abel_forward_check read
+hyper_terms itself.  The half-circle integrals (Abel, Bessel connection,
+4d double elliptic) are all (2/pi) int_0^(pi/2) f(sin phi) dphi with f
+even and analytic, and run by one periodic trapezoid rule,
+_quarter_period_mean, which converges geometrically on such integrands;
+the [0, inf) Laplace and K0 integrals stay on mp.quad, their integrands
+set to 0 past a point T (_laplace_cut) where I0(x) <= e^x and K0(t) <=
+sqrt(pi/(2t)) e^-t prove the tail below 10^-(dps + 2) of the value.  K0
+and I0 come from _k0 and _i0, in place of mpmath's generic besselk and
+besseli: the ascending series (DLMF 10.31.2 and 10.25.2, one fixed-point
+term loop) below 1.2 (dps + 5) and the asymptotic series (DLMF 10.40.2
+and 10.40.1, one term loop; remainder bounds 10.40.10 and 10.40.11)
+above it.
 
 Elliptic-argument conventions are a minefield: the source formulas write
 K(k) in some places and feed k^2-type expressions in others.  Every
@@ -46,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import comb, log, pi
+from math import comb, isqrt, log, pi
 
 import mpmath as mp
 
@@ -59,7 +66,7 @@ from .errors import (
 )
 from .lattices import LatticeSpec, coeffs, structure_sums
 from .reports import ConditionReport, VerifyReport
-from .series import hyper_terms
+from .series import fixed_bits, horner_fixed, hyper_terms, hyper_terms_fixed
 from .surd import QSqrt3
 
 Q = Fraction
@@ -121,15 +128,16 @@ class EvalResult:
         return float(self.value)
 
 
-def _power_law_tail(terms, p, n_last):
+def _power_law_tail(last, p, n_last):
     """Tail sum_{n>N} t_n for t_n ~ n^-p (C + D/n + E/n^2), via Hurwitz zeta.
 
-    C, D, E are fitted on the last three computed terms; the spread
-    between the 2- and 3-term fits is reported as the tail uncertainty.
+    C, D, E are fitted on the last three computed terms, last =
+    [t_(N-2), t_(N-1), t_N] with N = n_last; the spread between the 2-
+    and 3-term fits is reported as the tail uncertainty.
     """
     ns = [n_last, n_last - 1, n_last - 2]
     rows = [[mp.mpf(1), 1 / mp.mpf(n), 1 / mp.mpf(n) ** 2] for n in ns]
-    rhs = [terms[n] * mp.mpf(n) ** p for n in ns]
+    rhs = [t * mp.mpf(n) ** p for t, n in zip(reversed(last), ns)]
     sol3 = mp.lu_solve(mp.matrix(rows), mp.matrix(rhs))
     tail3 = (sol3[0] * mp.zeta(p, n_last + 1)
              + sol3[1] * mp.zeta(p + 1, n_last + 1)
@@ -141,28 +149,56 @@ def _power_law_tail(terms, p, n_last):
 
 _TERM_CAP = 6000
 
+# the most terms pFq_eval sums by its stopping rule
+_MAX_TERMS = 10 ** 6
+
 # terms x working digits at x = 1, sized so that prec 100 (8000 terms at
 # 110 digits, about 0.05 s) still runs
 _WORK_CAP = 10 ** 6
 
 
-def _terms_at_one(upper, lower, prec: int, terms: int | None = None) -> list:
-    """t_0 .. t_N of pFq(upper; lower; 1) as mpf at the caller's working
-    precision, summed before the power-law tail: N is `terms`, or
-    max(1500, 80 prec) when it is None.  ResourceLimit, before any term
-    is formed, when N x working digits exceeds _WORK_CAP."""
+def _binary_rational(x) -> tuple[int, int]:
+    """(m, k) with x = m / 2^k exactly, for an mpf x with |x| <= 1."""
+    man, exp = x.man_exp
+    return (-man if x < 0 else man), -exp
+
+
+def _sum_at_one(upper, lower, prec: int, terms: int | None = None):
+    """(t_0 + ... + t_N, [t_(N-2), t_(N-1), t_N], N) for pFq(upper; lower; 1)
+    at the caller's working precision, the sum before the power-law tail:
+    N is `terms`, or max(1500, 80 prec) when it is None.  The terms are
+    series.hyper_terms_fixed's; where every term ratio is at most 1, as
+    for the bcc sums, their fixed-point sum is within
+    2^-(working bits + FIXED_GUARD) of the exact partial sum.
+    ResourceLimit, before any term is formed, when N x working digits
+    exceeds _WORK_CAP."""
     if terms is None:
         terms = max(1500, 80 * prec)
     if terms * _dps(prec) > _WORK_CAP:
         raise ResourceLimit(f"{terms} terms at {_dps(prec)} digits; "
                             f"cap is {_WORK_CAP} term-digits")
-    return list(islice(hyper_terms(upper, lower, one=mp.mpf(1)), terms + 1))
+    wbits = fixed_bits(mp.mp.prec, terms)
+    ts = list(islice(hyper_terms_fixed(upper, lower, 1, 0, 1 << wbits), terms + 1))
+    return (mp.ldexp(sum(ts), -wbits), [mp.ldexp(t, -wbits) for t in ts[-3:]], terms)
 
 
-def _series_terms(spec: LatticeSpec, table, z):
-    # the terms a_m (z/q)^(s m) of P(0; z), one per table entry
-    zq, s = z / spec.coordination, spec.steps_per_index
-    return [mp.mpf(a) * zq ** (s * m) for m, a in enumerate(table.values)]
+def _table_sum(spec: LatticeSpec, values, z):
+    """(sum_m a_m x^m, its last three terms) over the table values, with
+    x = (z/q)^s, at the caller's working precision.
+
+    z, an mpf with |z| <= 1, is taken as its exact binary rational, so
+    x = m^s / (q^s 2^(k s)) is exact and series.horner_fixed sums the
+    integer table in fixed point with fixed_bits(working bits, N) bits,
+    within N units of the exact partial sum.  The last terms, for the
+    error estimate and the power-law tail, are a_m x^m in mpf."""
+    s, q = spec.steps_per_index, spec.coordination
+    m, k = _binary_rational(z)
+    n = len(values) - 1
+    wbits = fixed_bits(mp.mp.prec, n)
+    total = horner_fixed([a << wbits for a in values], m ** s, k * s, q ** s)
+    x = (z / q) ** s
+    return (mp.ldexp(total, -wbits),
+            [mp.mpf(values[i]) * x ** i for i in range(max(n - 2, 0), n + 1)])
 
 
 def _terms_below_one(spec: LatticeSpec, z, prec: int) -> int:
@@ -206,27 +242,27 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
         p_exp = mp.mpf(spec.dim) / 2
         if at_one and spec.family == "bcc":
             d = spec.dim
-            ts = _terms_at_one([Q(1, 2)] * d, [Q(1)] * (d - 1), prec, terms)
-            terms = len(ts) - 1
+            value, last, terms = _sum_at_one([Q(1, 2)] * d, [Q(1)] * (d - 1), prec, terms)
         else:
             if terms is None:
                 terms = 400 if at_one else _terms_below_one(spec, z, prec)
                 if terms > _TERM_CAP:
                     raise ResourceLimit(f"{terms} terms needed; cap is {_TERM_CAP}")
-            ts = _series_terms(spec, coeffs(spec, terms), z)
-        value = mp.fsum(ts)
+            value, last = _table_sum(spec, coeffs(spec, terms).values, z)
         if at_one:
-            tail3, spread = _power_law_tail(ts, p_exp, terms)
+            tail3, spread = _power_law_tail(last, p_exp, terms)
             if tail == "power-law-corrected":
                 return EvalResult(value + tail3, spread, terms,
                                   note=f"fitted n^-{p_exp} tail added")
             return EvalResult(value, abs(tail3) + spread, terms,
                               note="uncorrected; error bound is the fitted tail")
         # |z| < 1: geometric tail with ratio |z|^s, the limit that the term
-        # ratios approach from below, floored at the working roundoff so the
-        # bound stays honest when truncation is tiny
+        # ratios approach from below, floored at 10^-(prec + 8), which
+        # covers the proved fixed-point rounding and the final rounding to
+        # the working precision (both near 10^-(prec + 10)) when the
+        # truncation is tiny
         rho = abs(z) ** s
-        err = max(abs(ts[-1]) * rho / (1 - rho), mp.mpf(10) ** (-(prec + 8)))
+        err = max(abs(last[-1]) * rho / (1 - rho), mp.mpf(10) ** (-(prec + 8)))
         return EvalResult(value, err, terms)
 
 
@@ -236,8 +272,9 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
 def pFq_eval(upper, lower, x, prec: int = 30):
     """pFq by direct summation; the value alone, no error bound.
 
-    The terms are summed until one falls below 10**-(prec + 5) of the
-    partial sum.  For p <= q they fall factorially, so this covers the
+    The terms, integers in fixed point from series.hyper_terms_fixed, are
+    summed until one falls below 10**-(prec + 5) of max(|partial sum|, 1).
+    For p <= q they fall factorially, so this covers the
     whole closed disk |x| <= 1.  For p = q+1 they fall like
     |x|^n n^-(1 + excess), excess = sum(lower) - sum(upper): at x = 1 the
     partial sum is completed with the fitted power-law tail instead, which
@@ -265,20 +302,25 @@ def pFq_eval(upper, lower, x, prec: int = 30):
             if x == -1 and excess <= -1:
                 raise DivergentRequest(f"parameter excess {excess} <= -1 at x = -1")
             if x == 1:
-                ts = _terms_at_one(upper, lower, prec)
-                tail3, _ = _power_law_tail(ts, mp.mpf(1) + excess, len(ts) - 1)
-                return mp.fsum(ts) + tail3
+                value, last, n = _sum_at_one(upper, lower, prec)
+                tail3, _ = _power_law_tail(last, mp.mpf(1) + excess, n)
+                return value + tail3
             # is log10 of |x|^n n^-(1 + excess) at n = 10^6 above -(prec + 5)?
             slack = 6 * (1 + excess) - (prec + 5)
-            if 10 ** 6 * mp.log10(abs(x)) > mp.mpf(slack.numerator) / slack.denominator:
+            if _MAX_TERMS * mp.log10(abs(x)) > mp.mpf(slack.numerator) / slack.denominator:
                 raise ResourceLimit(f"terms fall like |x|^n n^-{1 + excess} at "
                                     f"x = {mp.nstr(x, 8)}: prec {prec} needs more "
                                     "than 10^6 of them")
-        target = mp.mpf(10) ** (-(prec + 5))
-        total = mp.mpf(0)
-        for n, t in enumerate(islice(hyper_terms(upper, lower, x, one=mp.mpf(1)), 10 ** 6)):
-            if n > 9 and abs(t) < target * max(abs(total), mp.mpf(1)):
-                return total + t
+        # stop at a term below 2^-drop <= 10^-(prec + 5) of max(|sum|, 1),
+        # compared by bit lengths
+        wbits = fixed_bits(mp.mp.prec, _MAX_TERMS)
+        drop = int((prec + 5) * log(10, 2)) + 1
+        total = 0
+        m, k = _binary_rational(x)
+        for n, t in enumerate(islice(hyper_terms_fixed(upper, lower, m, k, 1 << wbits),
+                                     _MAX_TERMS)):
+            if n > 9 and t.bit_length() + drop < max(total.bit_length(), wbits + 1):
+                return mp.ldexp(total + t, -wbits)
             total += t
         raise PrecisionNotMet("pFq summation did not converge in 10^6 terms")
 
@@ -396,7 +438,7 @@ def convention_report(prec: int = 30) -> list[ConditionReport]:
         with mp.workdps(_dps(prec)):
             points = (mp.mpf("0.1"), mp.mpf("0.2"))
             table = coeffs(spec, _terms_below_one(spec, points[-1], prec))
-            refs = [(z, mp.fsum(_series_terms(spec, table, z))) for z in points]
+            refs = [(z, _table_sum(spec, table.values, z)[0]) for z in points]
             winners = [c for c in ("modulus", "parameter")
                        if all(_contract_check(_ambiguous_value(form_id, z, prec, c), ref, prec)
                               for z, ref in refs)]
@@ -848,33 +890,45 @@ _RAMANUJAN = {
 RAMANUJAN_IDS = tuple(_RAMANUJAN)
 
 
-def _surd_to_mpf(x: QSqrt3, prec: int):
-    # the components can be astronomically larger than the value (the
-    # field conjugate of the sum may diverge), so size the working
-    # precision from the components, not the target
-    bits = max(x.a.numerator.bit_length(), x.a.denominator.bit_length(),
-               x.b.numerator.bit_length(), x.b.denominator.bit_length())
-    with mp.workdps(int(bits / 3.32) + _dps(prec)):
-        return +x.to_mpf()
+def _surd_fixed(x: QSqrt3, root3: int, wbits: int) -> int:
+    """x = a + b sqrt3 in wbits-bit fixed point, within |b| + 1 units,
+    from root3 = isqrt(3 << 2 wbits), which is floor(2^wbits sqrt3)."""
+    (p, q), (r, t) = x.a.as_integer_ratio(), x.b.as_integer_ratio()
+    return ((p * t << wbits) + r * q * root3) // (q * t)
 
 
-def _ramanujan_sum(a: QSqrt3, b: QSqrt3, x0: QSqrt3, table, terms: int) -> QSqrt3:
-    """sum_{n<terms} (a n + b) table[n] x0^n, exact in Q(sqrt(3))."""
-    acc = QSqrt3(0)
-    power = QSqrt3(1)
-    for n in range(terms):
-        acc = acc + power * (a * n + b) * table[n]
-        power = power * x0
-    return acc
+def _surd_series(a: QSqrt3, b: QSqrt3, x0: QSqrt3, values):
+    """sum_n (a n + b) values[n] x0^n at the caller's working precision.
+
+    a, b and x0 are held as single fixed-point reals with
+    W = fixed_bits(working bits, N) bits, sqrt3 taken once from
+    math.isqrt, and series.horner_fixed sums the integer table in x0.
+    (Exact Q(sqrt3) components would carry the field conjugate of the
+    sum, which reach thousands of bits where the value needs a few
+    hundred.)  Horner's rule costs at most N units.  A surd whose sqrt3
+    part is c is off by at most |c| + 1 units, which costs at most
+    sum_n (n (|a_c| + 1) + |b_c| + 1) |values[n] x0^n| units through a
+    and b, and (|x0_c| + 1) sum_n n |t_n| / |x0| through x0, t_n being
+    the terms.  For the six registry series (|x0| >= 2^-12, sqrt3 parts
+    at most 48, sum_n n |t_n| < 15) that is below 2^13 units, inside
+    FIXED_GUARD's 2^16.
+    """
+    n = len(values) - 1
+    wbits = fixed_bits(mp.mp.prec, n)
+    root3 = isqrt(3 << 2 * wbits)
+    A, B, X = (_surd_fixed(v, root3, wbits) for v in (a, b, x0))
+    total = horner_fixed([(A * i + B) * v for i, v in enumerate(values)], X, wbits)
+    return mp.ldexp(total, -wbits)
 
 
 def ramanujan_eval(series_id: str, terms: int, prec: int = 30):
     """Exact partial sum of one 1/pi series against its target.
 
     Returns EvalResult-like data: (partial sum, target, |difference|),
-    all at prec digits; the summation itself is exact in Q(sqrt(3)).  The
-    difference is floored at the working epsilon 10**-dps times |target|:
-    below it, it is the rounding of the two sides, not a measurement.
+    all at prec digits; the sum is taken in fixed point by _surd_series,
+    within the working epsilon 10**-dps of the exact Q(sqrt(3)) sum.  The
+    difference is floored at that epsilon times |target|: below it, it
+    is the rounding of the two sides, not a measurement.
     A `terms` above the cap is refused before the table is built, as in
     lgf_series_eval.
     """
@@ -885,9 +939,9 @@ def ramanujan_eval(series_id: str, terms: int, prec: int = 30):
     if terms > _TERM_CAP:
         raise ResourceLimit(f"{terms} terms requested; cap is {_TERM_CAP}")
     s = _RAMANUJAN[series_id]
-    acc = _ramanujan_sum(s.a, s.b, s.x0, coeffs(s.lattice, terms), terms)
+    values = coeffs(s.lattice, terms).values[:terms]
     with mp.workdps(_dps(prec)):
-        partial = _surd_to_mpf(acc, prec)
+        partial = _surd_series(s.a, s.b, s.x0, values)
         target = s.c.to_mpf() / mp.pi
         floor = mp.mpf(10) ** -_dps(prec) * abs(target)
         return partial, target, max(abs(partial - target), floor)
@@ -909,9 +963,9 @@ def ramanujan_general_form_check(prec: int = 64) -> VerifyReport:
         if (alpha + beta * n) * s.c != s.a * n + s.b:
             return VerifyReport(False, n, note="termwise multiplier mismatch")
     terms = max(80, int(prec / 1.4) + 20)
-    combo = _ramanujan_sum(beta, alpha, s.x0, coeffs(s.lattice, terms), terms)
+    values = coeffs(s.lattice, terms).values[:terms]
     with mp.workdps(_dps(prec)):
-        value = _surd_to_mpf(combo, prec)
+        value = _surd_series(beta, alpha, s.x0, values)
         check = _contract_check(value, 1 / mp.pi, prec)
         return VerifyReport(bool(check), terms,
                             note=f"residual {mp.nstr(abs(value - 1 / mp.pi), 3)}")
@@ -966,9 +1020,13 @@ def log_mahler_measure(F: dict, prec: int = 30):
 
     One variable: exact Jensen evaluation, log|lead| + sum log|roots
     outside the unit circle|.  Two variables: the inner variable is
-    eliminated by the same Jensen routine at each angle and the outer
-    integral is done by quadrature on split panels; the contract is the
-    (weaker) agreement of two panel counts, reported as the error.
+    eliminated by the same Jensen routine at each angle, and the outer
+    integral over [0, pi] is taken once by mp.quad on six panels of
+    pi/6, whose edges hold pi/3 and 2pi/3, where the Jensen integrand of
+    the common examples kinks (an inner root crossing the unit circle).
+    The error is the sum of the six panel error estimates, floored at
+    10^-(prec + 8); PrecisionNotMet when it exceeds 10^-(prec + 2), as it
+    does when a kink falls inside a panel, where mp.quad converges slowly.
     """
     if not F:
         raise DomainError("zero polynomial")
@@ -995,18 +1053,11 @@ def log_mahler_measure(F: dict, prec: int = 30):
                 poly[ex] = poly.get(ex, mp.mpc(0)) + c * y ** ey
             return _jensen(poly, tiny)
 
-        def outer(panels):
-            edges = [mp.pi * j / panels for j in range(panels + 1)]
-            return mp.fsum(mp.quad(inner_measure, [edges[j], edges[j + 1]])
-                           for j in range(panels)) / mp.pi
-
-        # 6 and 12 both put pi/3 on a panel edge; the Jensen integrand can
-        # kink there (inner roots crossing the unit circle)
-        v1 = outer(6)
-        v2 = outer(12)
-        err = abs(v1 - v2)
-        if err > mp.mpf("1e-6"):
-            raise PrecisionNotMet(f"panel counts disagree by {mp.nstr(err, 3)}")
-        # the panel counts can agree to the last working digit, which does
-        # not make either exact
-        return v2, max(err, mp.mpf(10) ** (-(prec + 8)))
+        panels = [mp.quad(inner_measure, [mp.pi * j / 6, mp.pi * (j + 1) / 6], error=True)
+                  for j in range(6)]
+        err = mp.fsum(e for _, e in panels)
+        if err > mp.mpf(10) ** (-(prec + 2)):
+            raise PrecisionNotMet(f"panel error estimates sum to {mp.nstr(err, 3)}")
+        # mp.quad's estimates can be below the last working digit, which
+        # does not make the value exact
+        return mp.fsum(v for v, _ in panels) / mp.pi, max(err, mp.mpf(10) ** (-(prec + 8)))

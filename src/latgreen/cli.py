@@ -30,7 +30,6 @@ import json
 import os
 import sys
 import time
-from math import comb
 
 from .constant_term import ct_series, kernel
 from .errors import (
@@ -224,16 +223,23 @@ def _load_operator(args):
                     + ", ".join(registry_names()))
 
 
+def _named_lattice(name: str | None) -> LatticeSpec | None:
+    """The lattice an operator name names: parse_lattice's, or bcc-d for
+    iwan<d> with d >= 2, whose series C(2n,n)^d is the bcc d table."""
+    if not name:
+        return None
+    if name.startswith("iwan") and name[4:].isdigit() and int(name[4:]) >= 2:
+        return LatticeSpec("bcc", int(name[4:]))
+    return parse_lattice(name)
+
+
 def _series_for(args, op, n_max: int) -> tuple[PowerSeries, str]:
     """The series an `ode` command checks or fits, and its source: the
     --series-cache file, else the table of the lattice that --family/--dim
-    or the operator name names, else C(2n,n)^d for iwan<d>, else the
-    operator's own recurrence.  A cache must hold the named lattice."""
+    or the operator name names (bcc-d for iwan<d>), else the operator's
+    own recurrence.  A cache must hold the named lattice."""
     name = getattr(args, "name", None)
-    if args.family:
-        spec = LatticeSpec(args.family, args.dim)
-    else:
-        spec = parse_lattice(name) if name else None
+    spec = LatticeSpec(args.family, args.dim) if args.family else _named_lattice(name)
     if args.series_cache:
         try:
             cfam, cdim, values = read_cache(args.series_cache)
@@ -246,9 +252,6 @@ def _series_for(args, op, n_max: int) -> tuple[PowerSeries, str]:
         return PowerSeries(values[: n_max + 1]), "cache"
     if spec is not None:
         return PowerSeries(list(coeffs(spec, n_max).values)), "table"
-    if name and name.startswith("iwan"):
-        d = int(name[4:])
-        return PowerSeries([comb(2 * n, n) ** d for n in range(n_max + 1)]), "table"
     # triple operators and file operators: the recurrence's own solution
     return op.series_solution(n_max), "recurrence"
 

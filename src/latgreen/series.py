@@ -14,9 +14,13 @@ and build one Fraction per output coefficient, operator fits build
 integer rows from them, and a primitive integer vector is _numerators
 followed by one gcd.  binomial_transform is the weight-w binomial
 transform shared by the lattice tables and the Moebius pull-back.
-hyper_terms is the package's one hypergeometric term generator: exact
-terms from a Fraction start value, mpmath floats from an mpf one, so the
-terminating a_l forms and every numeric pFq sum read the same ratio.
+hyper_terms is the package's one hypergeometric term ratio: exact terms
+from a Fraction start value for the terminating a_l forms, and, as
+hyper_terms_fixed, integer terms in fixed point for every numeric pFq
+sum.  horner_fixed, the other fixed-point kernel, sums a power series
+with fixed-point coefficients at an exact rational point; between them
+they take every numeric series sum of the package with integers only,
+one floor per step, under the proved rounding bound of fixed_bits.
 compose is Horner evaluation truncated to the orders that reach the
 result, and reversion is Lagrange inversion whose result is checked by
 composing it back.
@@ -80,9 +84,10 @@ def hyper_terms(upper: Sequence[Fraction], lower: Sequence[Fraction], x=1,
     t_(n+1)/t_n = x prod(u + n) / ((n + 1) prod(l + n)) is x times one
     integer over another: one multiplication and one division per term,
     and one more multiplication when x != 1.  The terms have the type of
-    one: a Fraction (and Fraction or int x) gives exact terms, an mpf
-    gives floats at the caller's working precision.  A nonpositive
-    integer upper parameter -l makes every term past n = l zero.
+    one: a Fraction (and Fraction or int x) gives exact terms.  Numeric
+    sums take the same ratio in fixed point, hyper_terms_fixed.  A
+    nonpositive integer upper parameter -l makes every term past n = l
+    zero.
     """
     ups = [(u.numerator, u.denominator) for u in upper]
     lows = [(l.numerator, l.denominator) for l in lower]
@@ -95,6 +100,89 @@ def hyper_terms(upper: Sequence[Fraction], lower: Sequence[Fraction], x=1,
              / (den_scale * (n + 1) * prod(p + n * q for p, q in lows)))
         if x != 1:
             t *= x
+
+
+# -- fixed-point summation ----------------------------------------------------
+#
+# A real r is held as the integer R = floor(2^W r) or close to it, "W-bit
+# fixed point", and an error of k units means |R - 2^W r| <= k.  The two
+# kernels below take every step with exact integer arithmetic followed by
+# one floor, so each step costs at most one unit, and the bounds follow.
+
+FIXED_GUARD = 16
+
+
+def fixed_bits(prec_bits: int, n: int) -> int:
+    """W = prec_bits + 2 log2(n) + guard for a sum of n + 1 terms: the
+    kernels' rounding error, at most (n + 1)^2 / 2 < 4^bitlength(n) units,
+    is then below 2^-(prec_bits + FIXED_GUARD)."""
+    return prec_bits + 2 * n.bit_length() + FIXED_GUARD
+
+
+def horner_fixed(coeffs: Sequence[int], num: int, shift: int, den: int = 1) -> int:
+    """sum_n c_n x^n in fixed point, by Horner's rule, for fixed-point c_n
+    and the exact rational x = num / (den 2^shift), den > 0.
+
+    Each step is acc <- floor(acc x) + c_n, one floor, since
+    floor(floor(y / 2^shift) / den) = floor(y / (den 2^shift)).  With
+    e_n the error of acc after the step for c_n and e_N = 0 (acc starts
+    at c_N exactly), e_n = x e_(n+1) - f_n with 0 <= f_n < 1, so for
+    |x| <= 1 the result is at most sum_(k<N) |x|^k <= N units from
+    2^W sum c_n x^n, plus sum |x|^n |d_n| when c_n itself is d_n units
+    off.  The coefficients are never scaled by a power of x, so large
+    c_n cost no precision.
+    """
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * num >> shift) // den + c
+    return acc
+
+
+def _poly_at(cs: Sequence[int], n: int) -> int:
+    v = 0
+    for c in cs:
+        v = v * n + c
+    return v
+
+
+def _expand(factors: Sequence[tuple[int, int]], scale: int) -> list[int]:
+    """scale prod (p + q n) over factors, as integer coefficients in n,
+    highest power first."""
+    cs = [scale]
+    for p, q in factors:
+        cs = [a * q + b * p for a, b in zip(cs + [0], [0] + cs)]
+    return cs
+
+
+def hyper_terms_fixed(upper: Sequence[Fraction], lower: Sequence[Fraction], num: int,
+                      shift: int, one: int):
+    """t_0 = one, t_1, ... of sum_n prod (u)_n / prod (l)_n x^n / n! in
+    fixed point, for x = num / 2^shift and one = 2^W.
+
+    This is hyper_terms' term ratio, x P(n) / Q(n) with integer
+    polynomials P and Q, taken with one floor division:
+    t_(n+1) = floor(t_n num P(n) / (Q(n) 2^shift)).  P and Q are expanded
+    once, so a term costs one long multiplication, one shift and one
+    division by the small integer Q(n); the shift and the division are
+    one floor while Q(n) > 0, which positive lower parameters ensure (a
+    negative Q(n) can cost a second unit).  With r_n = t_(n+1)/t_n
+    exact, the error e_n of t_n obeys e_0 = 0 and
+    e_(n+1) = r_n e_n - f_n, 0 <= f_n < 1, so
+    |e_n| <= sum_(1<=k<=n) |t_n / t_k| units.  That is at most n when
+    every |r_k| <= 1, as for |x| <= 1 and 0 < u <= l pairwise with n!
+    counted as a lower 1 (the bcc and Rogers sums), and N + 1 terms then
+    carry less than N^2 / 2 units in all (fixed_bits).  Where some ratio
+    exceeds 1, the bound on e_n is n max_(k<=n) |t_n / t_k| instead.
+    A nonpositive integer upper parameter makes every term past it zero.
+    """
+    ups = [(u.numerator, u.denominator) for u in upper]
+    lows = [(l.numerator, l.denominator) for l in lower] + [(1, 1)]
+    top = _expand(ups, num * prod(q for _, q in lows))
+    bottom = _expand(lows, prod(q for _, q in ups))
+    t = one
+    for n in count():
+        yield t
+        t = (t * _poly_at(top, n) >> shift) // _poly_at(bottom, n)
 
 
 class PowerSeries:

@@ -1,8 +1,11 @@
 """Exact arithmetic in Q(sqrt(3)).
 
-The 1/pi series of interest have coefficients and expansion points in
-this quadratic field, so partial sums can be carried exactly and only
-the final comparison against a float target involves rounding.
+The 1/pi series of the registry have their multipliers, expansion points
+and targets in this quadratic field.  QSqrt3 holds those records and
+checks exact identities between them (the printed multipliers against
+the general form).  Their partial sums are not carried here: exact
+components would carry the field conjugate of the sum, thousands of bits
+long, so analytic sums them in fixed point.
 """
 
 from __future__ import annotations

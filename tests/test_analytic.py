@@ -45,6 +45,7 @@ from latgreen.errors import (
     UnsupportedLattice,
 )
 from latgreen.lattices import LatticeSpec, coeffs
+from latgreen.surd import QSqrt3
 
 # printed reference decimals
 WATSON_PRINTED = {"sc": "1.516386", "bcc": "1.3932039",
@@ -135,6 +136,31 @@ class TestSeriesEval:
         deep = lgf_series_eval(spec, z, 20, terms=3 * r.terms_used)
         with mp.workdps(40):
             assert r.error >= abs(r.value - deep.value)
+
+    @pytest.mark.parametrize("family,dim,z", [
+        ("sc", 3, "0.3"), ("sc", 3, "-0.7"),
+        ("fcc", 3, "0.45"), ("fcc", 3, "-0.6"),
+        ("honeycomb", 2, "0.2"), ("honeycomb", 2, "0.7"),
+    ])
+    def test_bound_covers_doubled_precision(self, family, dim, z):
+        # the fixed-point sum with its reported error, against the same
+        # series at twice the digits (and so more terms)
+        spec = LatticeSpec(family, dim)
+        r = lgf_series_eval(spec, z, 30)
+        deep = lgf_series_eval(spec, z, 60)
+        with mp.workdps(80):
+            assert abs(r.value - deep.value) <= r.error
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_bcc_partial_sum_at_one_at_doubled_precision(self, d):
+        # the same 2000 terms at 25 and 50 digits differ only by rounding,
+        # which is below the 10^-(prec + 8) floor of the other bounds
+        spec = LatticeSpec("bcc", d)
+        r = lgf_series_eval(spec, 1, 25, terms=2000)
+        deep = lgf_series_eval(spec, 1, 50, terms=2000)
+        with mp.workdps(70):
+            assert abs(r.value - deep.value) <= mp.mpf(10) ** -(25 + 8)
+            assert abs(r.value - deep.value) <= r.error
 
     def test_result_shape(self):
         r = lgf_series_eval(LatticeSpec("sc", 3), "0.2", 25)
@@ -285,6 +311,24 @@ class TestPFQ:
         v = pFq_eval([5], [1, 1], x, prec)
         with mp.workdps(prec + 20):
             ref = mp.hyper([5], [1, 1], x)
+            assert abs(v - ref) <= mp.mpf(10) ** (2 - prec) * abs(ref)
+
+    @pytest.mark.parametrize("prec", [30, 300])
+    @pytest.mark.parametrize("target", ["diamond", "fcc"])
+    def test_rogers_forms_against_hyper(self, target, prec):
+        # at z = 0.95 the forms take their 3F2 at x = 0.74 (diamond) and
+        # 0.89 (fcc), where the terms fall slowly; mp.hyper at twice the
+        # digits is the reference, under the 10^(2-prec) contract
+        v = rogers_3f2(target, "0.95", prec)
+        with mp.workdps(2 * prec):
+            z = mp.mpf("0.95")
+            if target == "diamond":
+                scale = 1 - z ** 2 / 4
+                arg = 27 * z ** 4 / (64 * scale ** 3)
+            else:
+                scale, arg = 1, z ** 2 * (3 + z) / 4
+            ref = mp.hyper([mp.mpf(1) / 3, mp.mpf(1) / 2, mp.mpf(2) / 3], [1, 1], arg) / scale
+            assert arg > mp.mpf("0.7")
             assert abs(v - ref) <= mp.mpf(10) ** (2 - prec) * abs(ref)
 
     def test_slow_sum_inside_the_disk_refused(self):
@@ -745,6 +789,16 @@ class TestBesselIdentities:
 
 # -- Ramanujan 1/pi series ----------------------------------------------------
 
+def exact_ramanujan_sum(a, b, x0, table, terms):
+    """sum_{n<terms} (a n + b) table[n] x0^n, exact in Q(sqrt(3))."""
+    acc = QSqrt3(0)
+    power = QSqrt3(1)
+    for n in range(terms):
+        acc = acc + power * (a * n + b) * table[n]
+        power = power * x0
+    return acc
+
+
 class TestRamanujan:
     def test_inventory(self):
         assert set(RAMANUJAN_IDS) == {"diam-32", "diam-64", "diam-sqrt3",
@@ -762,6 +816,21 @@ class TestRamanujan:
         _, _, err = ramanujan_eval(sid, terms, 40)
         with mp.workdps(50):
             assert err < mp.mpf(bound), (sid, mp.nstr(err, 3))
+
+    @pytest.mark.parametrize("terms,prec", [(5, 30), (100, 30), (100, 300)])
+    @pytest.mark.parametrize("sid", RAMANUJAN_IDS)
+    def test_partial_sum_is_the_exact_sum(self, sid, terms, prec):
+        # the fixed-point sum against the exact Q(sqrt3) sum, within the
+        # working epsilon at which ramanujan_eval floors its difference
+        s = analytic._RAMANUJAN[sid]
+        exact = exact_ramanujan_sum(s.a, s.b, s.x0, coeffs(s.lattice, terms), terms)
+        partial, target, _ = ramanujan_eval(sid, terms, prec)
+        # the components carry the field conjugate of the sum, which can
+        # be thousands of bits larger than the value
+        bits = max(c.bit_length() for c in (exact.a.numerator, exact.a.denominator,
+                                             exact.b.numerator, exact.b.denominator))
+        with mp.workdps(bits // 3 + 2 * prec):
+            assert abs(partial - exact.to_mpf()) <= mp.mpf(10) ** -(prec + 10) * abs(target)
 
     def test_bcc256_rate(self):
         """The 256-series converges like 4^(-n): 25 terms give about 1e-16,
@@ -872,13 +941,35 @@ class TestMahlerMeasure:
 
     @pytest.mark.parametrize("prec", [12, 20, 30])
     def test_error_floor_covers_psi_reference(self, prec):
-        # m(1+x+y) = sqrt(3) (psi'(1/3) - psi'(2/3)) / (12 pi); the two panel
-        # counts agree to every working digit, which leaves only the floor
+        # m(1+x+y) = sqrt(3) (psi'(1/3) - psi'(2/3)) / (12 pi); the kink at
+        # 2pi/3 is a panel edge, so mp.quad's panel estimates fall below
+        # the working digits, which leaves only the floor
         v, err = log_mahler_measure({(0, 0): 1, (1, 0): 1, (0, 1): 1}, prec)
         with mp.workdps(prec + 20):
             third = mp.mpf(1) / 3
             ref = mp.sqrt(3) * (mp.psi(1, third) - mp.psi(1, 2 * third)) / (12 * mp.pi)
             assert 0 < abs(v - ref) <= err
+
+    @pytest.mark.parametrize("prec", [12, 20, 30])
+    def test_kink_inside_a_panel_is_refused(self, prec):
+        # m(3/2 + x + y): the inner root -(3/2 + y) crosses the unit circle
+        # at phi = acos(-3/4) = 2.4189, inside the panel [2pi/3, 5pi/6].
+        # Six panels miss the reference, mp.quad split at the kink, by more
+        # than the gate, and their error estimates say so
+        F = {(0, 0): "1.5", (1, 0): 1, (0, 1): 1}
+
+        def jensen(phi):
+            return max(mp.log(abs(mp.mpf(3) / 2 + mp.expj(phi))), 0)
+
+        with mp.workdps(prec + 20):
+            ref = mp.quad(jensen, [0, mp.acos(mp.mpf(-3) / 4)]) / mp.pi
+        with mp.workdps(prec + 10):
+            six = mp.fsum(mp.quad(jensen, [mp.pi * j / 6, mp.pi * (j + 1) / 6])
+                          for j in range(6)) / mp.pi
+        with mp.workdps(prec + 20):
+            assert abs(six - ref) > mp.mpf(10) ** (-(prec + 2))
+        with pytest.raises(PrecisionNotMet):
+            log_mahler_measure(F, prec)
 
     @pytest.mark.parametrize("prec", [12, 20, 30])
     def test_linear_jensen_takes_the_root(self, prec, monkeypatch):

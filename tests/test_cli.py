@@ -250,6 +250,18 @@ class TestOde:
         assert code == USAGE
         assert doc["error"]["message"].endswith("cache is for bcc-4")
 
+    def test_iwan_names_bcc(self, capsys, tmp_path):
+        # iwan<d>'s series C(2n,n)^d is the bcc d table, so a cache of
+        # another lattice is refused, and without one the table is read
+        code, doc = run_json(capsys, "ode", "verify", "iwan4")
+        assert code == OK and doc["passed"]
+        assert doc["series_source"] == "table"
+        path = str(tmp_path / "sc-4.txt")
+        write_cache(path, "sc", 4, list(coeffs(LatticeSpec("sc", 4), 41).values))
+        code, doc = run_json(capsys, "ode", "verify", "iwan4", "--series-cache", path)
+        assert code == USAGE
+        assert doc["error"]["message"].endswith("cache is for sc-4")
+
     def test_operator_file_round_trip(self, capsys, tmp_path):
         out = str(tmp_path / "iwan3.txt")
         run_json(capsys, "ode", "fit", "--family", "bcc", "--dim", "3",

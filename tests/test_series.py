@@ -7,7 +7,14 @@ from math import comb, prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from latgreen.series import LogSeries, PowerSeries, binomial_transform, hyper_terms
+from latgreen.series import (
+    LogSeries,
+    PowerSeries,
+    binomial_transform,
+    horner_fixed,
+    hyper_terms,
+    hyper_terms_fixed,
+)
 from latgreen.errors import BadConstantTerm, NotReversible, ZeroConstantTerm
 
 
@@ -231,6 +238,34 @@ def test_hyper_terms_sum_a_terminating_2f1_exactly(l, b, c):
     assert sum(terms[: l + 1]) == _poch(c - b, l) / _poch(c, l)
     assert terms[l] != 0
     assert terms[l + 1:] == [0] * 4
+
+
+@pytest.mark.parametrize("upper,lower,x", [
+    ([Q(1, 2)] * 4, [Q(1)] * 3, Q(1)),                      # bcc d=4 at z = 1
+    ([Q(1, 3), Q(1, 2), Q(2, 3)], [Q(1), Q(1)], Q(-29, 32)),  # Rogers 3F2
+])
+def test_fixed_terms_within_n_units(upper, lower, x):
+    # every ratio is at most 1 here, so term n is within n units of
+    # 2^W t_n, and it is the floor of the exact term at n <= 1
+    wbits = 80
+    exact = islice(hyper_terms(upper, lower, x), 300)
+    fixed = hyper_terms_fixed(upper, lower, x.numerator, x.denominator.bit_length() - 1,
+                              1 << wbits)
+    for n, (t, f) in enumerate(zip(exact, fixed)):
+        assert abs(f - t * 2 ** wbits) <= n
+        if n <= 1:
+            assert f == (t * 2 ** wbits).__floor__()
+
+
+@pytest.mark.parametrize("num,shift,den", [(1, 2, 9), (-7, 3, 3), (1, 0, 1)])
+def test_horner_within_n_units(num, shift, den):
+    # x = num / (den 2^shift); integer coefficients far above 2^W cost
+    # nothing: N + 1 terms are within N units
+    wbits, values = 64, [comb(2 * n, n) ** 3 for n in range(120)]
+    x = Q(num, den * 2 ** shift)
+    total = horner_fixed([v << wbits for v in values], num, shift, den)
+    exact = sum(v * x ** n for n, v in enumerate(values)) * 2 ** wbits
+    assert abs(total - exact) <= len(values) - 1
 
 
 class TestProperties:
