@@ -21,22 +21,23 @@ proved rounding bound of series.fixed_bits: horner_fixed sums the
 lattice tables at the exact binary rational of z (_table_sum, for
 lgf_series_eval and convention_report) and the Ramanujan sums, whose A,
 B and x0 in Q(sqrt3) it takes as single fixed-point reals
-(_surd_series); hyper_terms_fixed, the integer term ratio of
-series.hyper_terms with a floor division, gives the terms of pFq_eval,
-the hyper-bcc P(0;1) and the single-3F2 forms of rogers_3f2 (through
-pFq_eval).  The exact half-circle moments of abel_forward_check read
-hyper_terms itself.  The half-circle integrals (Abel, Bessel connection,
+(_surd_series); hyper_terms_fixed, series' one integer term ratio with
+a floor division, gives the terms of pFq_eval, the hyper-bcc P(0;1) and
+the single-3F2 forms of rogers_3f2 (through pFq_eval).  The exact
+half-circle moments of abel_forward_check read the same ratio through
+hyper_terms.  The half-circle integrals (Abel, Bessel connection,
 4d double elliptic) are all (2/pi) int_0^(pi/2) f(sin phi) dphi with f
 even and analytic, and run by one periodic trapezoid rule,
 _quarter_period_mean, which converges geometrically on such integrands;
-the [0, inf) Laplace and K0 integrals stay on mp.quad, their integrands
-set to 0 past a point T (_laplace_cut) where I0(x) <= e^x and K0(t) <=
-sqrt(pi/(2t)) e^-t prove the tail below 10^-(dps + 2) of the value.  K0
-and I0 come from _k0 and _i0, in place of mpmath's generic besselk and
-besseli: the ascending series (DLMF 10.31.2 and 10.25.2, one fixed-point
-term loop) below 1.2 (dps + 5) and the asymptotic series (DLMF 10.40.2
-and 10.40.1, one term loop; remainder bounds 10.40.10 and 10.40.11)
-above it.
+the [0, inf) Laplace and K0 integrals are one transform, _i0_transform,
+int weight(t) I0(ct/m)^m dt with weight e^-t or t K0(t), on mp.quad,
+its integrand set to 0 past one point T (_laplace_cut) where I0(x) <=
+e^x and K0(t) <= sqrt(pi/(2t)) e^-t prove the tail below 10^-(dps + 2)
+of the value for either weight.  K0 and I0 come from _k0 and _i0, in
+place of mpmath's generic besselk and besseli: the ascending series
+(DLMF 10.31.2 and 10.25.2, one fixed-point term loop) below 1.2 (dps + 5)
+and the asymptotic series (DLMF 10.40.2 and 10.40.1, one term loop;
+remainder bounds 10.40.10 and 10.40.11) above it.
 
 Elliptic-argument conventions are a minefield: the source formulas write
 K(k) in some places and feed k^2-type expressions in others.  Every
@@ -123,9 +124,6 @@ class EvalResult:
     error: object
     terms_used: int = 0
     note: str = ""
-
-    def __float__(self) -> float:
-        return float(self.value)
 
 
 def _power_law_tail(last, p, n_last):
@@ -220,9 +218,10 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
     no tables.  At z = -1 the terms equal those at z = 1 when every table
     index is an even number of steps; a family with an odd number
     (triangular, fcc) has alternating terms, which the one-signed tail
-    cannot fit, and is refused with DomainError.  An explicit `terms`
-    above the cap, or bcc z = 1 terms whose count times the working
-    digits passes _WORK_CAP, is refused before any work.
+    cannot fit, and is refused with DomainError, as is a `terms` below 3
+    at |z| = 1, where the tail is fitted on the last three.  An explicit
+    `terms` above the cap, or bcc z = 1 terms whose count times the
+    working digits passes _WORK_CAP, is refused before any work.
     """
     if tail not in ("none", "power-law-corrected"):
         raise ValueError(f"unknown tail mode {tail!r}")
@@ -239,6 +238,8 @@ def lgf_series_eval(spec: LatticeSpec, z, prec: int = 30, terms: int | None = No
                               "so the terms alternate and no one-signed tail fits")
         if at_one and spec.dim == 2:
             raise DivergentRequest("2d walks are recurrent: P(0;1) diverges")
+        if at_one and terms is not None and terms < 3:
+            raise DomainError(f"{terms} term(s) at |z| = 1: the fitted tail needs 3")
         p_exp = mp.mpf(spec.dim) / 2
         if at_one and spec.family == "bcc":
             d = spec.dim
@@ -717,51 +718,40 @@ def _i0(x):
     return +value
 
 
-def _laplace_cut(c, dps: int, k0: bool = False) -> float:
+def _laplace_cut(c, dps: int) -> float:
     """The T past which the [0, inf) Bessel integrands are dropped.
 
-    With a = 1 - c > 0 and I0(x) <= e^x for x >= 0 (I0(x) is the mean of
-    e^(x cos theta) over [0, pi]), the integrand e^-t I0(c t/d)^d of
-    _laplace_sc is at most e^(-a t), so its tail past T is at most
-    e^(-a T)/a.  With K0(t) <= sqrt(pi/(2t)) e^-t (DLMF 10.40.10: after
-    the first term the remainder has the sign of -1/(8t)), the K0
-    integrands t I0(c t/m)^m K0(t) are at most sqrt(pi t/2) e^(-a t);
-    since sqrt(t) <= sqrt(T) e^((t - T)/(2T)) for t >= T and a T >= 1,
-    their tail is at most sqrt(2 pi T) e^(-a T)/a.  With
+    With a = 1 - c > 0, I0(x) <= e^x for x >= 0 (I0(x) is the mean of
+    e^(x cos theta) over [0, pi]) and K0(t) <= sqrt(pi/(2t)) e^-t (DLMF
+    10.40.10: after the first term the remainder has the sign of -1/(8t)),
+    the integrands t I0(c t/m)^m K0(t) of _i0_transform are at most
+    sqrt(pi t/2) e^(-a t), and so are its integrands e^-t I0(c t/m)^m for
+    t >= 2/pi.  Since sqrt(t) <= sqrt(T) e^((t - T)/(2T)) for t >= T and
+    a T >= 1, the tail past T is at most sqrt(2 pi T) e^(-a T)/a.  With
     L = (dps + 2) ln 10 - ln a, T is the first of L/a, (L + 1)/a, ...
-    where the bound is at most 10^-(dps + 2); for the sc form that is L/a
-    itself.  Every one of these integrals is at least 1 (I0 >= 1,
-    int e^-t dt = 1 and int t K0(t) dt = 1), so the dropped tail is below
-    10^-(dps + 2) of the value.
+    where that bound is at most 10^-(dps + 2).  Every one of these
+    integrals is at least 1 (I0 >= 1, int e^-t dt = 1 and
+    int t K0(t) dt = 1), so the dropped tail is below 10^-(dps + 2) of the
+    value.
     """
     a = float(1 - c)
     L = (dps + 2) * log(10) - log(a)
     T = L / a
-    while k0 and a * T - log(2 * pi * T) / 2 < L:
+    while a * T - log(2 * pi * T) / 2 < L:
         T += 1 / a
     return T
 
 
-def _laplace_sc(d: int, z, prec: int):
-    """int_0^inf e^-t I0(zt/d)^d dt, the d-cubic P(z) as a Laplace
-    integral, for 0 <= z < 1.  The integrand is 0 past
-    _laplace_cut(z, dps), which drops less than 10^-(dps + 2) of the
-    value; mp.quad still runs on [0, inf) with its own nodes and error
-    estimate, and no I0 is computed at the far nodes."""
-    cut = _laplace_cut(z, _dps(prec))
-    value, _ = quadrature(lambda t: mp.exp(-t) * _i0(z * t / d) ** d if t <= cut else 0,
-                          [0, mp.inf], prec)
-    return value
-
-
-def _k0_transform(m: int, c, prec: int, k0):
-    """int_0^inf t I0(ct/m)^m K0(t) dt for 0 <= c < 1, K0 from k0: the
-    d-diamond P(c) at m = d + 1, and the inner integral of
-    bessel_connection_check.  The integrand is 0 past
-    _laplace_cut(c, dps, k0=True), as in _laplace_sc, so no I0 or K0 is
-    computed at the far nodes."""
-    cut = _laplace_cut(c, _dps(prec), k0=True)
-    value, _ = quadrature(lambda t: t * _i0(c * t / m) ** m * k0(t) if t <= cut else 0,
+def _i0_transform(m: int, c, prec: int, weight):
+    """int_0^inf weight(t) I0(ct/m)^m dt for 0 <= c < 1, with weight(t)
+    e^-t or t K0(t): the m-cubic P(c) as a Laplace integral, the d-diamond
+    P(c) at m = d + 1, and both sides of bessel_connection_check.  The
+    integrand is 0 past _laplace_cut(c, dps), which drops less than
+    10^-(dps + 2) of the value; mp.quad still runs on [0, inf) with its
+    own nodes and error estimate, and no I0 or weight is computed at the
+    far nodes."""
+    cut = _laplace_cut(c, _dps(prec))
+    value, _ = quadrature(lambda t: weight(t) * _i0(c * t / m) ** m if t <= cut else 0,
                           [0, mp.inf], prec)
     return value
 
@@ -784,7 +774,7 @@ def bessel_sc_check(d: int, z, prec: int = 25) -> IdentityCheck:
     least 1 (_laplace_cut).
     """
     return _series_identity(LatticeSpec("sc", d), z, prec,
-                            lambda z: _laplace_sc(d, z, prec))
+                            lambda z: _i0_transform(d, z, prec, lambda t: mp.exp(-t)))
 
 
 def bessel_diamond_check(d: int, z, prec: int = 25) -> IdentityCheck:
@@ -796,7 +786,7 @@ def bessel_diamond_check(d: int, z, prec: int = 25) -> IdentityCheck:
     the value, which is at least 1; no I0 or K0 is computed past T.
     """
     return _series_identity(LatticeSpec("diamond", d), z, prec,
-                            lambda z: _k0_transform(d + 1, z, prec, _k0))
+                            lambda z: _i0_transform(d + 1, z, prec, lambda t: t * _k0(t)))
 
 
 def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
@@ -805,24 +795,24 @@ def bessel_connection_check(d: int, z, prec: int = 20) -> IdentityCheck:
     The outer integral, (2/pi) int_0^(pi/2) in u = sin(phi), is the
     quarter-period mean of an integrand even in u (I0 is even), taken by
     the periodic trapezoid rule.  Every inner [0, inf) rule,
-    _k0_transform(d, zu), runs on the same nodes t, so K0(t) is evaluated
-    once per distinct node and reused by all outer nodes.  Its integrand
-    t I0(ztu/d)^d K0(t) is at most sqrt(pi t/2) e^(-(1-zu) t), as in
-    bessel_diamond_check, and is 0 past the T of _laplace_cut(zu), which
-    drops less than 10^-(dps + 2) of the inner value (at least 1), so of
-    the mean too.
+    _i0_transform(d, zu) with weight t K0(t), runs on the same nodes t, so
+    the weight is evaluated once per distinct node and reused by all
+    outer nodes.  Its integrand is at most sqrt(pi t/2) e^(-(1-zu) t), as
+    in bessel_diamond_check, and is 0 past the T of _laplace_cut(zu),
+    which drops less than 10^-(dps + 2) of the inner value (at least 1),
+    so of the mean too.
     """
     with mp.workdps(_dps(prec)):
         z = _unit_interval(z)
         cache = {}
 
-        def besselk0(t):
+        def t_k0(t):
             if t not in cache:
-                cache[t] = _k0(t)
+                cache[t] = t * _k0(t)
             return cache[t]
 
-        rhs, _ = _quarter_period_mean(lambda u: _k0_transform(d, z * u, prec, besselk0), prec)
-        return _contract_check(_laplace_sc(d, z, prec), rhs, prec)
+        rhs, _ = _quarter_period_mean(lambda u: _i0_transform(d, z * u, prec, t_k0), prec)
+        return _contract_check(_i0_transform(d, z, prec, lambda t: mp.exp(-t)), rhs, prec)
 
 
 def abel_forward_check(d: int, z, prec: int = 20):

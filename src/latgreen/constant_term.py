@@ -18,7 +18,9 @@ generalizes the honeycomb kernel (1+x+y)(1+1/x+1/y); its constant terms
 are the squared-multinomial sums S_n^(d+1) (pair the forward composition
 with the backward one).  The ad-hoc printed 3d/4d diamond kernels are
 kept in a separate registry and proven equivalent through
-kernel_equivalence rather than trusted.
+kernel_equivalence rather than trusted.  Any other kernel is a
+LaurentPoly built from its {exponent vector: coefficient} dict, with no
+family binding, and ct_sequence gives its raw CT sequence.
 
 Two-site kernels (honeycomb, diamond) advance two lattice steps per
 kernel power, so CT[K^n] is the 2n-step count; the family's LatticeSpec
@@ -402,38 +404,3 @@ def kernel_equivalence(k1: KernelSpec, k2: KernelSpec, n_max: int) -> VerifyRepo
     return compare(ct_sequence(k1, n_max), ct_sequence(k2, n_max),
                    f"{k1.label or 'k1'} vs {k2.label or 'k2'}")
 
-
-# ---------------------------------------------------------------------------
-# text exchange format: one monomial per line, "coefficient e1 e2 ... ed"
-
-
-def format_kernel(poly: LaurentPoly) -> str:
-    lines = []
-    for e in sorted(poly.terms):
-        lines.append(" ".join([str(poly.terms[e])] + [str(x) for x in e]))
-    return "\n".join(lines) + "\n"
-
-
-def parse_kernel(text: str) -> LaurentPoly:
-    terms: dict[tuple[int, ...], int] = {}
-    nvars = None
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        try:
-            nums = [int(p) for p in parts]
-        except ValueError as exc:
-            raise UnsupportedTerm(f"line {lineno}: non-integer field") from exc
-        if len(nums) < 2:
-            raise UnsupportedTerm(f"line {lineno}: need a coefficient and at least one exponent")
-        coef, exps = nums[0], tuple(nums[1:])
-        if nvars is None:
-            nvars = len(exps)
-        elif len(exps) != nvars:
-            raise UnsupportedTerm(f"line {lineno}: expected {nvars} exponents, got {len(exps)}")
-        terms[exps] = terms.get(exps, 0) + coef
-    if nvars is None:
-        raise UnsupportedTerm("empty kernel text")
-    return LaurentPoly(terms, nvars)

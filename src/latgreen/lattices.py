@@ -543,20 +543,14 @@ def relation_fcc_from_diamond(n_max: int) -> VerifyReport:
 
 
 def relation_sc_from_hyperdiamond(d: int, n_max: int) -> VerifyReport:
-    """Hypercubic a_{2n} = C(2n,n) * (2n-step counts of the (d-1)-dim
-    hyper-diamond walk), the latter from independent finite-sum forms
-    where available and from the recurrence otherwise."""
-    sc_vals = coeffs(LatticeSpec("sc", d), n_max).values
-    if d == 2:
-        inner: list[int] = [comb(2 * n, n) for n in range(n_max + 1)]
-    elif d == 3:
-        inner = [honeycomb_binomial_sum(n) for n in range(n_max + 1)]
-    elif d == 4:
-        inner = [diamond3_binomial_sum(n) for n in range(n_max + 1)]
-    elif d == 5:
-        inner = [s5_double_sum(n) for n in range(n_max + 1)]
-    else:
-        inner = structure_sums(d, n_max)
+    """Hypercubic a_{2n} = C(2n,n) S_n^(d), S_n^(d) the 2n-step count of
+    the (d-1)-dim hyper-diamond walk, for d >= 2 and n <= n_max.
+
+    The sc side is peeled from the sc kernel 2 e_1 by esym_table, not read
+    from coeffs, whose sc table is this very product; the diamond side is
+    structure_sums(d)."""
+    sc_vals = esym_table(1, d, 2 * n_max)[::2]
+    inner = structure_sums(d, n_max)
     derived = [comb(2 * n, n) * inner[n] for n in range(n_max + 1)]
     return compare(sc_vals, derived, f"sc d={d} from hyper-diamond d={d - 1}")
 

@@ -695,8 +695,7 @@ def cy_conditions_report(op: ThetaOperator, n_max: int) -> list[ConditionReport]
     out.append(ConditionReport(
         "five: integral instanton numbers", stable,
         detail=f"minimal s with s*N_k integral through k={depth}: {yk.s}"
-               + ("" if stable else " (still growing with depth)"),
-        data={"s": yk.s}))
+               + ("" if stable else " (still growing with depth)")))
     return out
 
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 
@@ -35,4 +35,3 @@ class ConditionReport:
     name: str
     passed: bool
     detail: str = ""
-    data: dict = field(default_factory=dict)

@@ -14,9 +14,10 @@ and build one Fraction per output coefficient, operator fits build
 integer rows from them, and a primitive integer vector is _numerators
 followed by one gcd.  binomial_transform is the weight-w binomial
 transform shared by the lattice tables and the Moebius pull-back.
-hyper_terms is the package's one hypergeometric term ratio: exact terms
-from a Fraction start value for the terminating a_l forms, and, as
-hyper_terms_fixed, integer terms in fixed point for every numeric pFq
+_ratio is the package's one hypergeometric term ratio, two integer
+polynomials expanded once: hyper_terms reads exact Fraction terms from
+it, for the terminating a_l forms and the half-circle moments, and
+hyper_terms_fixed integer terms in fixed point for every numeric pFq
 sum.  horner_fixed, the other fixed-point kernel, sums a power series
 with fixed-point coefficients at an exact rational point; between them
 they take every numeric series sum of the package with integers only,
@@ -76,32 +77,6 @@ def binomial_transform(f: Sequence[Scalar], w: Scalar) -> list[Scalar]:
     return out
 
 
-def hyper_terms(upper: Sequence[Fraction], lower: Sequence[Fraction], x=1,
-                one=Q(1)):
-    """t_0 = one, t_1, ... of sum_n prod (u)_n / prod (l)_n x^n / n!.
-
-    upper and lower are Fractions, so the ratio
-    t_(n+1)/t_n = x prod(u + n) / ((n + 1) prod(l + n)) is x times one
-    integer over another: one multiplication and one division per term,
-    and one more multiplication when x != 1.  The terms have the type of
-    one: a Fraction (and Fraction or int x) gives exact terms.  Numeric
-    sums take the same ratio in fixed point, hyper_terms_fixed.  A
-    nonpositive integer upper parameter -l makes every term past n = l
-    zero.
-    """
-    ups = [(u.numerator, u.denominator) for u in upper]
-    lows = [(l.numerator, l.denominator) for l in lower]
-    num_scale = prod(q for _, q in lows)
-    den_scale = prod(q for _, q in ups)
-    t = one
-    for n in count():
-        yield t
-        t = (t * (num_scale * prod(p + n * q for p, q in ups))
-             / (den_scale * (n + 1) * prod(p + n * q for p, q in lows)))
-        if x != 1:
-            t *= x
-
-
 # -- fixed-point summation ----------------------------------------------------
 #
 # A real r is held as the integer R = floor(2^W r) or close to it, "W-bit
@@ -154,17 +129,42 @@ def _expand(factors: Sequence[tuple[int, int]], scale: int) -> list[int]:
     return cs
 
 
+def _ratio(upper: Sequence[Fraction], lower: Sequence[Fraction], num: int):
+    """Integer polynomials P and Q in n, highest power first, with
+    P(n) / Q(n) = num prod(u + n) / ((n + 1) prod(l + n)): the term ratio
+    t_(n+1)/t_n of sum_n prod (u)_n / prod (l)_n x^n / n! at x = num,
+    expanded once.  A nonpositive integer upper parameter -l makes P(l),
+    and so every term past n = l, zero."""
+    ups = [(u.numerator, u.denominator) for u in upper]
+    lows = [(l.numerator, l.denominator) for l in lower] + [(1, 1)]
+    return (_expand(ups, num * prod(q for _, q in lows)),
+            _expand(lows, prod(q for _, q in ups)))
+
+
+def hyper_terms(upper: Sequence[Fraction], lower: Sequence[Fraction], x=1):
+    """The exact terms t_0 = 1, t_1, ... of
+    sum_n prod (u)_n / prod (l)_n x^n / n! for rational x, as Fractions,
+    by the integer term ratio _ratio: one multiplication and one division
+    per term.  Numeric sums take the same ratio in fixed point,
+    hyper_terms_fixed."""
+    x = Q(x)
+    top, bottom = _ratio(upper, lower, x.numerator)
+    t = Q(1)
+    for n in count():
+        yield t
+        t = t * _poly_at(top, n) / (x.denominator * _poly_at(bottom, n))
+
+
 def hyper_terms_fixed(upper: Sequence[Fraction], lower: Sequence[Fraction], num: int,
                       shift: int, one: int):
     """t_0 = one, t_1, ... of sum_n prod (u)_n / prod (l)_n x^n / n! in
     fixed point, for x = num / 2^shift and one = 2^W.
 
-    This is hyper_terms' term ratio, x P(n) / Q(n) with integer
-    polynomials P and Q, taken with one floor division:
-    t_(n+1) = floor(t_n num P(n) / (Q(n) 2^shift)).  P and Q are expanded
-    once, so a term costs one long multiplication, one shift and one
-    division by the small integer Q(n); the shift and the division are
-    one floor while Q(n) > 0, which positive lower parameters ensure (a
+    This is hyper_terms' term ratio, x = num / 2^shift times the integer
+    polynomial quotient P(n) / Q(n) of _ratio at num, taken with one floor
+    division: t_(n+1) = floor(t_n P(n) / (Q(n) 2^shift)).  A term costs
+    one long multiplication, one shift and one division by the small
+    integer Q(n); the shift and the division are one floor while Q(n) > 0, which positive lower parameters ensure (a
     negative Q(n) can cost a second unit).  With r_n = t_(n+1)/t_n
     exact, the error e_n of t_n obeys e_0 = 0 and
     e_(n+1) = r_n e_n - f_n, 0 <= f_n < 1, so
@@ -173,12 +173,8 @@ def hyper_terms_fixed(upper: Sequence[Fraction], lower: Sequence[Fraction], num:
     counted as a lower 1 (the bcc and Rogers sums), and N + 1 terms then
     carry less than N^2 / 2 units in all (fixed_bits).  Where some ratio
     exceeds 1, the bound on e_n is n max_(k<=n) |t_n / t_k| instead.
-    A nonpositive integer upper parameter makes every term past it zero.
     """
-    ups = [(u.numerator, u.denominator) for u in upper]
-    lows = [(l.numerator, l.denominator) for l in lower] + [(1, 1)]
-    top = _expand(ups, num * prod(q for _, q in lows))
-    bottom = _expand(lows, prod(q for _, q in ups))
+    top, bottom = _ratio(upper, lower, num)
     t = one
     for n in count():
         yield t

@@ -166,7 +166,6 @@ class TestSeriesEval:
         r = lgf_series_eval(LatticeSpec("sc", 3), "0.2", 25)
         assert isinstance(r, EvalResult)
         assert r.terms_used > 0
-        assert float(r) == float(r.value)
 
     def test_bcc4_at_one_corrected(self):
         # deep-series + fitted power-law tail reaches the 50-digit value
@@ -627,7 +626,7 @@ class TestQuadrature:
     def test_i0_at_zero(self):
         # I0(0) = 1, so at z = 0 the Laplace form of P is int e^-t dt = 1
         with mp.workdps(40):
-            assert abs(analytic._laplace_sc(3, mp.mpf(0), 25) - 1) < mp.mpf("1e-23")
+            assert abs(analytic._i0_transform(3, mp.mpf(0), 25, lambda t: mp.exp(-t)) - 1) < mp.mpf("1e-23")
 
 
 class TestQuarterPeriodMean:
@@ -726,18 +725,18 @@ class TestBesselIdentities:
     @pytest.mark.parametrize("kind", ["sc", "diamond"])
     def test_cut_integrands_near_one(self, kind):
         # at z = 0.97 the integrands decay like e^(-0.03 t), so the cut
-        # lies far out (T = 2266 and 2433); the cut integral must still match
+        # lies far out (T = 2433); the cut integral must still match
         # an uncut one with mpmath's I0 at 20 more digits (K0 from _k0,
         # which test_k0_matches_mpmath checks against mp.besselk)
         prec = 16
         z = mp.mpf("0.97")
         if kind == "sc":
-            value = analytic._laplace_sc(3, z, prec)
+            value = analytic._i0_transform(3, z, prec, lambda t: mp.exp(-t))
 
             def uncut(t):
                 return mp.exp(-t) * mp.besseli(0, z * t / 3) ** 3
         else:
-            value = analytic._k0_transform(4, z, prec, analytic._k0)
+            value = analytic._i0_transform(4, z, prec, lambda t: t * analytic._k0(t))
 
             def uncut(t):
                 return t * mp.besseli(0, z * t / 4) ** 4 * analytic._k0(t)

@@ -527,6 +527,11 @@ class TestRunner:
         (["ode", "fit", "--family", "sc", "--dim", "4", "--order", "4", "--terms", "40",
           "--series-cache", "{bcc4}"], USAGE, "UsageExit"),
         (["ode", "verify", "sc4", "--series-cache", "{bcc4}"], USAGE, "UsageExit"),
+        # the z = +-1 tail is fitted on the last three terms
+        (["eval", "lgf", "--family", "bcc", "--dim", "3", "--z", "1", "--terms", "2"],
+         USAGE, "DomainError"),
+        (["eval", "lgf", "--family", "sc", "--dim", "3", "--z", "-1", "--terms", "1"],
+         USAGE, "DomainError"),
     ])
     def test_error_document(self, capsys, tmp_path, argv, code, error):
         bad = tmp_path / "bad.txt"

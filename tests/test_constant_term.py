@@ -13,11 +13,9 @@ from latgreen.constant_term import (
     class_bound,
     ct_sequence,
     ct_series,
-    format_kernel,
     is_invariant,
     kernel,
     kernel_equivalence,
-    parse_kernel,
     printed_kernels,
 )
 from latgreen.errors import ResourceLimit, UnsupportedTerm
@@ -113,7 +111,7 @@ def test_pairing_at_odd_n_max():
 
 def test_pairing_looks_up_the_mirror_class():
     # K(1/x) != K(x): a class pairs with canon(-k), not with k
-    ks = KernelSpec(parse_kernel("1 1 0\n1 0 1\n1 -1 -1\n"))
+    ks = KernelSpec(LaurentPoly({(1, 0): 1, (0, 1): 1, (-1, -1): 1}))
     assert ct_sequence(ks, 9) == [1, 0, 0, 6, 0, 0, 90, 0, 0, 1680]
 
 
@@ -175,7 +173,7 @@ def test_class_bound_refuses_before_work():
     # one class per power, but more powers than the cap: refused without
     # counting classes over an L1 range of 1.5 10^8
     with pytest.raises(ResourceLimit, match="work cap"):
-        ct_sequence(KernelSpec(parse_kernel("1 1 0\n")), 3 * 10 ** 8)
+        ct_sequence(KernelSpec(LaurentPoly({(1, 0): 1})), 3 * 10 ** 8)
     assert time.perf_counter() - start < 2
     # the largest requests of the tests and the benchmark are admitted
     for family, d, n in [("diamond", 5, 20), ("bcc", 5, 20), ("sc", 2, 30), ("bcc", 6, 8)]:
@@ -279,32 +277,15 @@ def test_budget_limit(monkeypatch):
     assert len(ct_sequence(kernel("bcc", 4), 8)) == 9
 
 
-def test_kernel_text_round_trip():
-    for name, ks in printed_kernels().items():
-        text = format_kernel(ks.kernel)
-        assert parse_kernel(text) == ks.kernel, name
-
-
-def test_kernel_text_parsing():
-    p = parse_kernel("# square, sum form\n1 1 0\n1 -1 0\n1 0 1\n\n1 0 -1\n")
-    assert p == kernel("square", 2).kernel
-    with pytest.raises(UnsupportedTerm):
-        parse_kernel("1 1 0\n1 1\n")
-    with pytest.raises(UnsupportedTerm):
-        parse_kernel("x 1 0\n")
-    with pytest.raises(UnsupportedTerm):
-        parse_kernel("   \n# nothing\n")
-
-
 def test_user_kernel_sequence():
-    # a kernel handed in by text, no family binding: raw CT sequence
-    ks = KernelSpec(parse_kernel("1 1\n1 -1\n"))
+    # a kernel with no family binding: raw CT sequence
+    ks = KernelSpec(LaurentPoly({(1,): 1, (-1,): 1}))
     assert ct_sequence(ks, 6) == [1, 0, 2, 0, 6, 0, 20]
 
 
 def test_symmetry_claims_validated():
     with pytest.raises(UnsupportedTerm):
-        KernelSpec(parse_kernel("1 1 0\n1 0 1\n"), symmetry="hyperoctahedral")
+        KernelSpec(LaurentPoly({(1, 0): 1, (0, 1): 1}), symmetry="hyperoctahedral")
 
 
 def _brute_force_invariant(poly, symmetry):

@@ -444,5 +444,15 @@ def test_relation_sc_hyperdiamond(d):
     assert relation_sc_from_hyperdiamond(d, 10)
 
 
+def test_relation_sc_catches_perturbed_structure_sums(monkeypatch):
+    # structure_sums also feeds the sc table of coeffs(), so only the
+    # kernel-peeled sc side can see it change
+    exact = lattices.structure_sums
+    monkeypatch.setattr(lattices, "structure_sums", lambda dim, n: [
+        v + (i == 5 and dim == 6) for i, v in enumerate(exact(dim, n))])
+    rep = relation_sc_from_hyperdiamond(6, 10)
+    assert not rep.passed and rep.first_mismatch == 5
+
+
 def test_hypergeometric_forms():
     assert hypergeometric_forms_check(10)

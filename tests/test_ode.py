@@ -508,7 +508,7 @@ def test_cy_conditions_all_pass(name, s):
     assert len(reports) == 5
     for rep in reports:
         assert rep.passed, (name, rep.name, rep.detail)
-    assert reports[4].data["s"] == s
+    assert reports[4].detail.endswith(f": {s}")
 
 
 def test_wronskian_identity():

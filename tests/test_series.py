@@ -233,7 +233,7 @@ def _poch(a, n):
 @pytest.mark.parametrize("b,c", [(Q(1, 2), Q(3, 2)), (Q(-7, 3), Q(5, 4))])
 def test_hyper_terms_sum_a_terminating_2f1_exactly(l, b, c):
     # Chu-Vandermonde: 2F1(-l, b; c; 1) = (c - b)_l / (c)_l
-    terms = list(islice(hyper_terms([Q(-l), b], [c], one=Q(1)), l + 5))
+    terms = list(islice(hyper_terms([Q(-l), b], [c]), l + 5))
     assert all(type(t) is Q for t in terms)
     assert sum(terms[: l + 1]) == _poch(c - b, l) / _poch(c, l)
     assert terms[l] != 0
