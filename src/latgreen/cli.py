@@ -267,6 +267,8 @@ def cmd_ode_verify(args) -> dict:
 def cmd_ode_fit(args) -> dict:
     from .ode import fit_minimal_degree, fit_ode, write_operator
 
+    if not (args.family or args.series_cache):
+        raise UsageExit("ode fit needs a series: give --family/--dim or --series-cache")
     series, source = _series_for(args, None, args.terms)
     if args.degree is not None:
         op = fit_ode(series, args.order, args.degree)

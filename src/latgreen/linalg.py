@@ -2,8 +2,10 @@
 
 Operator fits use the modular route, Dixon's p-adic lifting (J. D. Dixon,
 "Exact solution of linear equations using p-adic expansions", Numer.
-Math. 40 (1982) 137-141).  One forward elimination modulo a 62-bit prime
+Math. 40 (1982) 137-141).  One forward elimination modulo a 30-bit prime
 gives the rank, the pivot columns and the factors of the pivot block.
+A 30-bit residue is one CPython digit (sys.int_info.bits_per_digit is 30
+on 64-bit builds), so the row update multiplies single-digit ints.
 Rank over Q is at least rank mod p, so full column rank mod p proves the
 nullspace empty after that one elimination.  Otherwise the vector of
 each free column (that coordinate one, the other free ones zero) is
@@ -16,8 +18,24 @@ A prime that loses rank over Q shows as a candidate that solves the
 pivot rows exactly but not every row; one whose pivots differ from
 those over Q shows as a verified vector nonzero right of its free
 column.  Either way the next prime is tried, so an unlucky prime costs
-time, never correctness.  Straight Gaussian elimination over Fraction is
-kept as the reference the tests compare the modular route against.
+time, never correctness.
+
+With a limit L on the basis, the elimination stops at the L-th free
+column F mod p.  The vector of a free column c vanishes right of c, and
+eliminating columns 0..F does not depend on the columns right of F, so
+the first L vectors are those of the leading columns 0..F alone and no
+pivot right of F is sought.  Both checks still hold there.  Rank
+mod p of each leading block of columns is at most its rank over Q, so
+where the pivots mod p first part from those over Q, at a column
+c0 <= F, c0 is free mod p and a pivot over Q.  A candidate for c0 that
+verifies is a vector over Q nonzero at c0; as column c0 is independent
+of the columns before it, the vector is also nonzero at a pivot mod p
+right of c0, which lies left of F and so is among those eliminated:
+the moved-pivot check sees it.  The free columns before c0 have the
+same pivots mod p as over Q, so their vectors are the true ones.
+
+Straight Gaussian elimination over Fraction is kept as the reference
+the tests compare the modular route against.
 """
 
 from __future__ import annotations
@@ -33,7 +51,7 @@ from .errors import FitFailure
 Q = Fraction
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)  # deterministic below 2^64
-_PRIME_BITS = 62
+_PRIME_BITS = 30
 
 
 def _is_prime(n: int) -> bool:
@@ -60,14 +78,14 @@ def _is_prime(n: int) -> bool:
 
 
 def prime_stream():
-    """Distinct 62-bit primes, the same sequence on every call."""
+    """Distinct 30-bit primes, the same sequence on every call."""
     rng = random.Random(0xC0FFEE)
     seen = set()
     while True:
         c = rng.getrandbits(_PRIME_BITS) | (1 << (_PRIME_BITS - 1)) | 1
         while not _is_prime(c):
             c += 2
-        if c not in seen:
+        if c >> _PRIME_BITS == 0 and c not in seen:
             seen.add(c)
             yield c
 
@@ -110,21 +128,26 @@ def nullspace_fraction(rows: Sequence[Sequence[Fraction | int]], ncols: int) -> 
     return basis
 
 
-def _eliminate_mod(rows: Sequence[Sequence[int]], ncols: int, p: int):
+def _eliminate_mod(rows: Sequence[Sequence[int]], ncols: int, p: int,
+                   limit: int | None = None):
     """Row-echelon form of rows mod p with the multipliers kept (PLU in place).
 
     Returns (order, pivots, mat): mat[i] is row order[i] of rows after
     elimination.  From its pivot column on it holds U; at the pivot
     column of each earlier pivot k it holds the multiplier L[i][k].
-    Entries left of the current pivot column are never touched.
+    Entries left of the current pivot column are never touched.  With
+    `limit`, no pivot is sought right of the limit-th free column.
     """
     mat = [[x % p for x in r] for r in rows]
     order = list(range(len(mat)))
     pivots: list[int] = []
-    r = 0
+    r = free = 0
     for c in range(ncols):
         pr = next((i for i in range(r, len(mat)) if mat[i][c]), None)
         if pr is None:
+            free += 1
+            if free == limit:
+                break
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
         order[r], order[pr] = order[pr], order[r]
@@ -259,22 +282,23 @@ def nullspace_modular(rows: Sequence[Sequence[int]], ncols: int,
 
     Same basis and convention as nullspace_fraction.  One prime serves
     unless it is unlucky (see the module docstring).  With `limit`, only
-    the first `limit` basis vectors are lifted: each is verified against
-    every row, so `limit` of them prove a nullity of at least `limit`.
+    the first `limit` basis vectors are computed, and the elimination
+    stops at the last of their free columns: each vector is verified
+    against every row, so `limit` of them prove a nullity of at least
+    `limit`.
     """
     for p in prime_stream():
-        order, pivots, mat = _eliminate_mod(rows, ncols, p)
+        order, pivots, mat = _eliminate_mod(rows, ncols, p, limit)
         if len(pivots) == ncols:
             return []
         block = _PivotBlock(rows, ncols, p, order, pivots, mat)
+        pivot_set = set(pivots)
         basis = []
-        for fc in sorted(set(range(ncols)) - set(pivots)):
+        for fc in [c for c in range(ncols) if c not in pivot_set][:limit]:
             w = block.lift(fc)
             if w is None or any(w[c] for c in pivots if c > fc):
                 break  # p lost rank, or its pivots are not those over Q
             basis.append([Q(v, w[fc]) for v in w])
-            if len(basis) == limit:
-                return basis
         else:
             return basis
     raise FitFailure("prime stream ended")

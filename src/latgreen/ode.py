@@ -181,7 +181,8 @@ def _op_diamond4() -> ThetaOperator:
 
 def _op_fcc4() -> ThetaOperator:
     # kills the 4d fcc count series sum a_n z^n (a_2 = 24); singular points
-    # 0, 1/24, -1/3, -1/4, -1/8, -1/12
+    # 0, 1/24, -1/3, -1/4, -1/8, -1/12 and -1/18, a double root of the
+    # leading D-form coefficient
     th = Poly([0, 1])
     p0 = th ** 4
     p1 = Poly([0, -4, -19, -30, 39])
@@ -345,6 +346,57 @@ def parse_operator(text: str) -> ThetaOperator:
 # -- fitting -----------------------------------------------------------------
 
 
+def _shape_error(n_terms: int, r: int, k: int) -> Exception | None:
+    """The refusal of the order-r, degree-k fit over n_terms coefficients,
+    or None when that shape may be fitted."""
+    unknowns = (r + 1) * (k + 1)
+    if n_terms < unknowns + _GUARD:
+        return InsufficientTerms(
+            f"need {unknowns + _GUARD} coefficients for r={r} k={k}, have {n_terms}")
+    if unknowns ** 2 * n_terms > FIT_WORK_CAP:
+        return ResourceLimit(f"fit with {unknowns} unknowns over {n_terms} rows costs "
+                             f"{unknowns ** 2 * n_terms} units of elimination work; "
+                             f"cap is {FIT_WORK_CAP}")
+    return None
+
+
+def _fit(series: PowerSeries, r: int, top: int, least: bool) -> ThetaOperator | None:
+    """The operator of degree k <= top from one nullspace of the degree-top
+    system, or None when that nullspace is zero.
+
+    Unknown l(r+1) + j is the theta^j coefficient of P_l, so the degree-k
+    system is the leading (r+1)(k+1) columns of the degree-top one, on the
+    same rows.  The first basis vector vanishes right of its free column,
+    so with `least` its block is the least k with a nonzero solution, else
+    k = top.  A second vector that vanishes right of block k proves the
+    degree-k nullity at least 2.
+    """
+    width = r + 1
+    # row n is sum_l P_l(n - l) f_(n-l) = 0, times the common denominator of f
+    f, _ = _numerators(series.coeffs)
+    rows = []
+    for n in range(len(f)):
+        row = [0] * (width * (top + 1))
+        for l in range(min(n, top) + 1):
+            pw, m = f[n - l], n - l
+            for j in range(l * width, (l + 1) * width):
+                row[j] = pw
+                pw *= m
+        rows.append(row)
+    basis = nullspace_modular(rows, width * (top + 1), limit=2)
+    if not basis:
+        return None
+    v = basis[0]
+    k = max(i for i, c in enumerate(v) if c) // width if least else top
+    if len(basis) > 1 and not any(basis[1][width * (k + 1):]):
+        raise FitFailure(
+            f"nullspace dimension at least 2 for r={r} k={k}: shape too generous")
+    op = ThetaOperator([v[l * width:(l + 1) * width] for l in range(k + 1)])
+    if not op.annihilates(series):
+        raise FitFailure("candidate operator fails re-verification")
+    return op
+
+
 def fit_ode(series: PowerSeries, r: int, k: int) -> ThetaOperator | None:
     """Exact annihilator of shape sum_{l<=k} z^l P_l(theta), deg P_l <= r.
 
@@ -354,55 +406,35 @@ def fit_ode(series: PowerSeries, r: int, k: int) -> ThetaOperator | None:
     solved by the modular route: one elimination mod p, which proves an
     empty nullspace by full rank, else p-adic lifting and rational
     reconstruction, with the lifted vector checked exactly against every
-    row.  Lifting stops at the second verified vector, which already
-    proves the shape too generous (FitFailure).  The operator is then
-    re-verified against the series before being returned.  A system
-    whose unknowns^2 x rows exceeds FIT_WORK_CAP raises ResourceLimit
-    before any row is built.
+    row.  The elimination stops at the second free column, whose verified
+    vector already proves the shape too generous (FitFailure).  The
+    operator is then re-verified against the series before being
+    returned.  A system whose unknowns^2 x rows exceeds FIT_WORK_CAP
+    raises ResourceLimit before any row is built.
     """
-    unknowns = (r + 1) * (k + 1)
-    n_terms = series.order + 1
-    if n_terms < unknowns + _GUARD:
-        raise InsufficientTerms(
-            f"need {unknowns + _GUARD} coefficients for r={r} k={k}, have {n_terms}")
-    if unknowns ** 2 * n_terms > FIT_WORK_CAP:
-        raise ResourceLimit(f"fit with {unknowns} unknowns over {n_terms} rows costs "
-                            f"{unknowns ** 2 * n_terms} units of elimination work; "
-                            f"cap is {FIT_WORK_CAP}")
-    # row n is sum_l P_l(n - l) f_(n-l) = 0, times the common denominator of f
-    f, _ = _numerators(series.coeffs)
-    rows = []
-    for n in range(n_terms):
-        row = [0] * unknowns
-        for l in range(min(n, k) + 1):
-            pw, m = f[n - l], n - l
-            for j in range(l * (r + 1), (l + 1) * (r + 1)):
-                row[j] = pw
-                pw *= m
-        rows.append(row)
-    basis = nullspace_modular(rows, unknowns, limit=2)
-    if not basis:
-        return None
-    if len(basis) > 1:
-        raise FitFailure(
-            f"nullspace dimension at least 2 for r={r} k={k}: shape too generous")
-    v = basis[0]
-    op = ThetaOperator([[v[l * (r + 1) + j] for j in range(r + 1)]
-                        for l in range(k + 1)])
-    check = op.annihilates(series)
-    if not check:
-        raise FitFailure("candidate operator fails re-verification")
-    return op
+    err = _shape_error(series.order + 1, r, k)
+    if err is not None:
+        raise err
+    return _fit(series, r, k, least=False)
 
 
 def fit_minimal_degree(series: PowerSeries, r: int, max_degree: int) -> ThetaOperator:
-    """First k in 1..max_degree admitting a fit.  InsufficientTerms is
-    raised at the first shape the series is too short for."""
-    for k in range(1, max_degree + 1):
-        op = fit_ode(series, r, k)
-        if op is not None:
-            return op
-    raise FitFailure(f"no order-{r} operator of degree <= {max_degree}")
+    """The fit of least degree k in 1..max_degree, from one elimination.
+
+    The rows are built once, for the widest degree top <= max_degree that
+    the series' length and FIT_WORK_CAP admit, and one nullspace of that
+    system, stopped at its second free column, gives the least k (see
+    _fit).  Refusals are those of fit_ode for k = 1, 2, ... in turn: a
+    shape too generous at the least k (FitFailure); else InsufficientTerms
+    or ResourceLimit at the first shape past top; else FitFailure.
+    """
+    n_terms, top, err = series.order + 1, 0, None
+    while top < max_degree and (err := _shape_error(n_terms, r, top + 1)) is None:
+        top += 1
+    op = _fit(series, r, top, least=True) if top else None
+    if op is None:
+        raise err or FitFailure(f"no order-{r} operator of degree <= {max_degree}")
+    return op
 
 
 # -- indicial data -----------------------------------------------------------

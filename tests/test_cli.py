@@ -532,6 +532,9 @@ class TestRunner:
          USAGE, "DomainError"),
         (["eval", "lgf", "--family", "sc", "--dim", "3", "--z", "-1", "--terms", "1"],
          USAGE, "DomainError"),
+        # a fit has no operator to take a series from
+        (["ode", "fit", "--terms", "20", "--order", "2"], USAGE, "UsageExit"),
+        (["ode", "fit", "--dim", "3", "--terms", "20", "--order", "2"], USAGE, "UsageExit"),
     ])
     def test_error_document(self, capsys, tmp_path, argv, code, error):
         bad = tmp_path / "bad.txt"

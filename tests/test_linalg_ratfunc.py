@@ -2,16 +2,19 @@
 
 import random
 from fractions import Fraction
+from math import comb, isqrt
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latgreen import linalg
+from latgreen.errors import FitFailure
 from latgreen.lattices import LatticeSpec, coeffs
 from latgreen.linalg import nullspace_fraction, nullspace_modular, prime_stream
 from latgreen.ode import fit_ode
 from latgreen.ratfunc import Poly, RatFunc, poly_gcd, rational_roots
+from latgreen.series import PowerSeries
 
 Q = Fraction
 
@@ -20,7 +23,8 @@ def test_prime_stream():
     ps = prime_stream()
     seen = {next(ps) for _ in range(5)}
     assert len(seen) == 5
-    assert all(p > 2 ** 61 and p % 2 == 1 for p in seen)
+    assert all(2 ** 29 < p < 2 ** 30 and p % 2 == 1 for p in seen)
+    assert all(p % q for p in seen for q in range(3, isqrt(p) + 1, 2))
 
 
 def test_nullspace_fraction_simple():
@@ -111,9 +115,41 @@ def test_modular_skips_unlucky_prime(drawn_primes, case):
     assert len(drawn_primes) == 2
 
 
+@pytest.mark.parametrize("case", range(3))
+def test_early_stop_skips_unlucky_prime(drawn_primes, case):
+    # at limit 1 the elimination mod the unlucky prime stops at its first
+    # free column, which is a pivot over Q in every case
+    rows = _unlucky_rows(next(prime_stream()))[case]
+    ncols = len(rows[0])
+    assert nullspace_modular(rows, ncols, limit=1) == nullspace_fraction(rows, ncols)[:1]
+    assert len(drawn_primes) == 2
+
+
+def test_generous_fit_stops_at_second_free_column(monkeypatch):
+    # C(2n,n)^2 at r = 2, k = 152 over 466 terms, just under FIT_WORK_CAP:
+    # nullity 152, so the elimination can stop at its second free column
+    # instead of running through all 459 columns
+    runs = []
+    eliminate = linalg._eliminate_mod
+
+    def recording(rows, ncols, p, *args):
+        order, pivots, mat = eliminate(rows, ncols, p, *args)
+        runs.append((ncols, pivots))
+        return order, pivots, mat
+
+    monkeypatch.setattr(linalg, "_eliminate_mod", recording)
+    series = PowerSeries([comb(2 * n, n) ** 2 for n in range(466)])
+    with pytest.raises(FitFailure, match="nullspace dimension at least 2 for r=2 k=152"):
+        fit_ode(series, 2, 152)
+    [(ncols, pivots)] = runs
+    free = [c for c in range(ncols) if c not in pivots]
+    assert max(pivots) < free[1]
+    assert len(pivots) == free[1] - 1
+
+
 def test_modular_lifts_large_rationals():
     # kernel (w_1/D, ..., w_5/D, 1) with 300-digit w_i and D: reconstruction
-    # needs p^k > 2 |w_i| D > 10^600, so at least 32 lifting steps at 62 bits
+    # needs p^k > 2 |w_i| D > 10^600, so at least 67 lifting steps at 30 bits
     rng = random.Random(11)
     den = rng.randrange(10 ** 300, 10 ** 301)
     w = [rng.randrange(-10 ** 301, 10 ** 301) for _ in range(5)]
@@ -138,7 +174,10 @@ def test_modular_matches_fraction_low_rank(ncols, nrows, data):
                                min_size=rank, max_size=rank))
     rows = [[sum(a * right[k][j] for k, a in enumerate(l)) for j in range(ncols)]
             for l in left]
-    assert nullspace_modular(rows, ncols) == nullspace_fraction(rows, ncols)
+    frac = nullspace_fraction(rows, ncols)
+    assert nullspace_modular(rows, ncols) == frac
+    for limit in (1, 2, 3):
+        assert nullspace_modular(rows, ncols, limit) == frac[:limit]
 
 def test_poly_divmod_gcd():
     x = Poly.x()

@@ -6,16 +6,17 @@ Targets frozen here were cross-checked against independent series data
 
 from fractions import Fraction as Q
 from functools import lru_cache
-from math import comb
+from math import comb, gcd
 
 import pytest
 
-from latgreen import linalg
+from latgreen import linalg, ode
 from latgreen.errors import (
     FitFailure,
     InsufficientTerms,
     NotMUM,
     NotSymmetricSquare,
+    ResourceLimit,
     UnknownOperator,
 )
 from latgreen.lattices import LatticeSpec, coeffs, structure_sums
@@ -42,7 +43,7 @@ from latgreen.ode import (
     write_operator,
     yukawa,
 )
-from latgreen.ratfunc import Poly, RatFunc
+from latgreen.ratfunc import Poly, RatFunc, rational_roots
 from latgreen.series import LogSeries, PowerSeries
 
 
@@ -333,6 +334,139 @@ def test_generous_shape_lifts_two_vectors(monkeypatch):
     with pytest.raises(FitFailure, match="at least 2"):
         fit_ode(series, 4, 3)
     assert len(lifts) <= 2
+
+
+def reference_fit_ode(series, r, k):
+    """fit_ode as one elimination per shape: the check, rows and nullspace
+    of the degree-k system alone."""
+    unknowns = (r + 1) * (k + 1)
+    n_terms = series.order + 1
+    if n_terms < unknowns + ode._GUARD:
+        raise InsufficientTerms(
+            f"need {unknowns + ode._GUARD} coefficients for r={r} k={k}, have {n_terms}")
+    if unknowns ** 2 * n_terms > ode.FIT_WORK_CAP:
+        raise ResourceLimit(f"fit with {unknowns} unknowns over {n_terms} rows costs "
+                            f"{unknowns ** 2 * n_terms} units of elimination work; "
+                            f"cap is {ode.FIT_WORK_CAP}")
+    d = 1
+    for c in series.coeffs:
+        d = d * c.denominator // gcd(d, c.denominator)
+    f = [int(c * d) for c in series.coeffs]
+    rows = [[0] * unknowns for _ in range(n_terms)]
+    for n, row in enumerate(rows):
+        for l in range(min(n, k) + 1):
+            for j in range(r + 1):
+                row[l * (r + 1) + j] = f[n - l] * (n - l) ** j
+    basis = linalg.nullspace_modular(rows, unknowns, limit=2)
+    if not basis:
+        return None
+    if len(basis) > 1:
+        raise FitFailure(
+            f"nullspace dimension at least 2 for r={r} k={k}: shape too generous")
+    v = basis[0]
+    return ThetaOperator([[v[l * (r + 1) + j] for j in range(r + 1)] for l in range(k + 1)])
+
+
+def reference_fit_minimal_degree(series, r, max_degree):
+    for k in range(1, max_degree + 1):
+        op = reference_fit_ode(series, r, k)
+        if op is not None:
+            return op
+    raise FitFailure(f"no order-{r} operator of degree <= {max_degree}")
+
+
+def outcome(fit, *args):
+    """write_operator text of the fit, or the type and message of its refusal."""
+    try:
+        return write_operator(fit(*args))
+    except (FitFailure, InsufficientTerms, ResourceLimit) as exc:
+        return type(exc), str(exc)
+
+
+# (family, d, order r, minimal degree k) of the fits in perfbench/operators.py
+BENCH_FITS = ([("sc", d, d, (d + 1) // 2) for d in range(3, 11)]
+              + [("diamond", d, d, k) for d, k in ((3, 2), (4, 3), (5, 3), (6, 4), (7, 4))]
+              + [("fcc", 3, 3, 3), ("fcc", 4, 4, 7), ("bcc", 4, 4, 1)])
+
+
+@pytest.mark.parametrize("extra", [0, 7, 19])
+@pytest.mark.parametrize("family,d,r,k", BENCH_FITS,
+                         ids=[f"{f}{d}" for f, d, _, _ in BENCH_FITS])
+def test_minimal_degree_search_matches_the_k_loop(family, d, r, k, extra):
+    # the benchmark's shapes at their exact length, (r+1)(k+1) + 5 terms,
+    # where the widest shape is k itself, and longer, where it is wider
+    n_terms = (r + 1) * (k + 1) + ode._GUARD + extra
+    series = coeffs(LatticeSpec(family, d), n_terms - 1).as_series()
+    got = outcome(fit_minimal_degree, series, r, k + 2)
+    assert got == outcome(reference_fit_minimal_degree, series, r, k + 2)
+    assert isinstance(got, str) and got.count("\n") == k + 1
+
+
+PRIMES_30 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+             53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113]
+
+
+@pytest.mark.parametrize("series,r,max_degree,error", [
+    (catalan_power(4, 12), 4, 3, InsufficientTerms),       # 13 terms, k = 1 needs 15
+    (raw_series("sc3", 14), 3, 3, InsufficientTerms),      # none at k = 1, k = 2 needs 17
+    (PowerSeries(PRIMES_30), 2, 4, FitFailure),             # no operator up to k = 4
+    (PowerSeries(PRIMES_30), 2, 0, FitFailure),             # no shape at all
+    (catalan_power(4, 40), 4, 2, None),                     # k = 1, and k = 2 generous
+], ids=["short", "short-above", "primes", "max-degree-0", "generous-above"])
+def test_minimal_degree_search_refuses_as_the_k_loop(series, r, max_degree, error):
+    got = outcome(fit_minimal_degree, series, r, max_degree)
+    assert got == outcome(reference_fit_minimal_degree, series, r, max_degree)
+    assert (got[0] if isinstance(got, tuple) else None) is error
+
+
+def test_minimal_degree_search_over_the_work_cap(monkeypatch):
+    # sc3 needs k = 2; with the cap between the k = 1 and k = 2 costs the
+    # k loop is refused at k = 2, and so is the search
+    series = coeffs(LatticeSpec("sc", 3), 40).as_series()
+    monkeypatch.setattr(ode, "FIT_WORK_CAP", 8 ** 2 * 41)
+    got = outcome(fit_minimal_degree, series, 3, 4)
+    assert got == outcome(reference_fit_minimal_degree, series, 3, 4)
+    assert got[0] is ResourceLimit and got[1].startswith("fit with 12 unknowns")
+
+
+def test_minimal_degree_search_generous_least_shape():
+    # C(2n,n) is killed by L = theta - 2z(2theta+1), so the order-2
+    # degree-1 shape holds (theta + c) L for every c
+    series = catalan_power(1, 30)
+    got = outcome(fit_minimal_degree, series, 2, 3)
+    assert got == outcome(reference_fit_minimal_degree, series, 2, 3)
+    assert got == (FitFailure, "nullspace dimension at least 2 for r=2 k=1: shape too generous")
+
+
+def test_minimal_degree_search_eliminates_once(monkeypatch):
+    # sc10's operator has degree 5: the k loop eliminates for k = 1..5
+    calls = []
+    eliminate = linalg._eliminate_mod
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return eliminate(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "_eliminate_mod", counting)
+    n_terms = 11 * 6 + ode._GUARD
+    op = fit_minimal_degree(coeffs(LatticeSpec("sc", 10), n_terms - 1).as_series(), 10, 7)
+    assert (op.order, op.degree) == (10, 5)
+    assert calls == [66]
+
+
+@pytest.mark.parametrize("name,points", [
+    ("sc3", {0, Q(1, 36), Q(1, 4)}),
+    ("sc4", {0, Q(1, 64), Q(1, 16)}),
+    ("iwan3", {0, Q(1, 64)}),
+    ("iwan4", {0, Q(1, 256)}),
+    ("diamond4", {0, Q(1, 25), Q(1, 9), 1}),
+    ("fcc4", {0, Q(1, 24), Q(-1, 3), Q(-1, 4), Q(-1, 8), Q(-1, 12), Q(-1, 18)}),
+])
+def test_singular_points(name, points):
+    # the roots of the leading D-form coefficient, all rational
+    roots, cofactor = rational_roots(to_dform(registry(name))[-1])
+    assert set(roots) == points
+    assert cofactor.degree == 0
 
 
 # -- indicial data ------------------------------------------------------------
