@@ -1011,14 +1011,15 @@ def log_mahler_measure(F: dict, prec: int = 30):
     One variable: exact Jensen evaluation, log|lead| + sum log|roots
     outside the unit circle|.  Two variables: the inner variable is
     eliminated by the same Jensen routine at each angle, and the outer
-    integral over [0, pi] is taken once by mp.quad on six panels of
+    integral over [0, pi] is taken by one mp.quad call on six panels of
     pi/6, whose edges hold pi/3 and 2pi/3, where the Jensen integrand of
     the common examples kinks (an inner root crossing the unit circle).
-    The error is the sum of the six panel error estimates, floored at
-    10^-(prec + 8); PrecisionNotMet when it exceeds 10^-(prec + 2), as it
-    does when a kink falls inside a panel, where mp.quad converges slowly.
+    The error is mp.quad's estimate, the sum of its panel estimates,
+    floored at 10^-(prec + 8); PrecisionNotMet when it exceeds
+    10^-(prec + 2), as it does when a kink falls inside a panel, where
+    mp.quad converges slowly.  DomainError when every coefficient is 0.
     """
-    if not F:
+    if all(mp.mpf(c) == 0 for c in F.values()):
         raise DomainError("zero polynomial")
     nvars = len(next(iter(F)))
     if any(len(e) != nvars for e in F):
@@ -1043,11 +1044,9 @@ def log_mahler_measure(F: dict, prec: int = 30):
                 poly[ex] = poly.get(ex, mp.mpc(0)) + c * y ** ey
             return _jensen(poly, tiny)
 
-        panels = [mp.quad(inner_measure, [mp.pi * j / 6, mp.pi * (j + 1) / 6], error=True)
-                  for j in range(6)]
-        err = mp.fsum(e for _, e in panels)
+        v, err = mp.quad(inner_measure, [mp.pi * j / 6 for j in range(7)], error=True)
         if err > mp.mpf(10) ** (-(prec + 2)):
             raise PrecisionNotMet(f"panel error estimates sum to {mp.nstr(err, 3)}")
         # mp.quad's estimates can be below the last working digit, which
         # does not make the value exact
-        return mp.fsum(v for v, _ in panels) / mp.pi, max(err, mp.mpf(10) ** (-(prec + 8)))
+        return v / mp.pi, max(err, mp.mpf(10) ** (-(prec + 8)))

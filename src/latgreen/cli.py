@@ -149,18 +149,14 @@ def write_cache(path: str, family: str, dim: int, values: list[int]) -> None:
 
 # -- coeffs -------------------------------------------------------------------
 
-ROUTES = ("formula", "ct", "cosine")
-
-
-def _table_by(method: str, spec: LatticeSpec, count: int) -> list[int]:
-    if method == "formula":
-        return list(coeffs(spec, count - 1).values)
-    if method == "ct":
-        return ct_series(kernel(spec.family, spec.dim), count - 1)
-    if method == "cosine":
-        p = spec.powers_per_index
-        return cosine_integer_table(spec.name, (count - 1) * p)[::p]
-    raise UsageExit(f"unknown method {method!r}")
+# route name -> table builder(spec, n_max); the builders look their
+# engines up by name when they are called
+ROUTES = {
+    "formula": lambda spec, n_max: list(coeffs(spec, n_max).values),
+    "ct": lambda spec, n_max: ct_series(kernel(spec.family, spec.dim), n_max),
+    "cosine": lambda spec, n_max: cosine_integer_table(
+        spec.name, n_max * spec.powers_per_index)[::spec.powers_per_index],
+}
 
 
 def cmd_coeffs(args) -> dict:
@@ -181,9 +177,9 @@ def cmd_coeffs(args) -> dict:
     doc = {"passed": True}
     if args.method == "all":
         # cosine first: it refuses a runaway size before the other routes run
-        tables = {m: _table_by(m, spec, count) for m in reversed(ROUTES)}
-        table = tables["formula"]
-        checks = {f"formula-vs-{m}": tables[m] == table for m in ROUTES[1:]}
+        tables = {m: build(spec, count - 1) for m, build in reversed(ROUTES.items())}
+        table = tables.pop("formula")
+        checks = {f"formula-vs-{m}": t == table for m, t in tables.items()}
         if cache_problem:
             checks["cache-readable"] = False
         elif cached is not None:
@@ -198,7 +194,7 @@ def cmd_coeffs(args) -> dict:
     elif cached is not None and len(cached) >= count:
         table = cached[:count]
     else:
-        table = _table_by(args.method, spec, count)
+        table = ROUTES[args.method](spec, count - 1)
         if cpath:
             write_cache(cpath, spec.family, spec.dim, table)
     doc["table"] = [str(v) for v in table]

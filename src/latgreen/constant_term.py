@@ -130,15 +130,18 @@ def is_invariant(poly: LaurentPoly, symmetry: str) -> bool:
 class KernelSpec:
     """A CT kernel plus its bookkeeping.
 
-    symmetry is the group under which the expanded kernel is invariant,
-    used to collapse the walk distribution to canonical classes:
-    "hyperoctahedral" (coordinate permutations and sign flips),
-    "permutation", or "none".  The claim is checked at construction.
+    spec is the lattice the kernel walks on, or None for a kernel with
+    no family binding.  A bound kernel must have the mass of the
+    family's own kernel (spec.kernel_terms()), and its CT table takes
+    the indexing of spec.  symmetry is the group under which the
+    expanded kernel is invariant, used to collapse the walk distribution
+    to canonical classes: "hyperoctahedral" (coordinate permutations and
+    sign flips), "permutation", or "none".  Both claims are checked at
+    construction.
     """
 
     kernel: LaurentPoly
-    family: str | None = None
-    dim: int | None = None
+    spec: LatticeSpec | None = None
     symmetry: str = "none"
     label: str = ""
 
@@ -147,20 +150,18 @@ class KernelSpec:
             raise UnsupportedTerm(f"unknown symmetry {self.symmetry!r}")
         if not is_invariant(self.kernel, self.symmetry):
             raise UnsupportedTerm(f"kernel is not {self.symmetry}-invariant")
-        if self.family is not None:
-            spec = LatticeSpec(self.family, self.dim)
-            q = spec.coordination
-            want = q * q if spec.row.two_site else q
+        if self.spec is not None:
+            want = sum(self.spec.kernel_terms().values())
             if self.kernel.eval_ones() != want:
                 raise UnsupportedTerm(
-                    f"kernel mass {self.kernel.eval_ones()} != expected {want} for {self.family} d={self.dim}"
+                    f"kernel mass {self.kernel.eval_ones()} != expected {want} for {self.spec.name}"
                 )
 
 
 def kernel(family: str, d: int) -> KernelSpec:
     """The registry kernel for a lattice family at dimension d."""
     spec = LatticeSpec(family, d)
-    return KernelSpec(LaurentPoly(spec.kernel_terms(), d), family, d, spec.row.symmetry, spec.name)
+    return KernelSpec(LaurentPoly(spec.kernel_terms(), d), spec, spec.row.symmetry, spec.name)
 
 
 def printed_kernels() -> dict[str, KernelSpec]:
@@ -170,51 +171,36 @@ def printed_kernels() -> dict[str, KernelSpec]:
     ix2, iy2 = (LaurentPoly.var(i, 2, -1) for i in range(2))
     x3, y3, z3 = (LaurentPoly.var(i, 3) for i in range(3))
     ix3, iy3, iz3 = (LaurentPoly.var(i, 3, -1) for i in range(3))
-    V4 = [LaurentPoly.var(i, 4) for i in range(4)]
-    IV4 = [LaurentPoly.var(i, 4, -1) for i in range(4)]
-    x4, y4, z4, w4 = V4
-    ix4, iy4, iz4, iw4 = IV4
+    x4, y4, z4, w4 = (LaurentPoly.var(i, 4) for i in range(4))
+    ix4, iy4, iz4, iw4 = (LaurentPoly.var(i, 4, -1) for i in range(4))
 
+    square = LatticeSpec("square", 2)
     out = {}
-    out["square-product"] = KernelSpec(
-        (x2 + ix2) * (y2 + iy2), "square", 2, "hyperoctahedral", "square-product"
-    )
-    out["square-sum"] = KernelSpec(x2 + ix2 + y2 + iy2, "square", 2, "hyperoctahedral", "square-sum")
+    out["square-product"] = KernelSpec((x2 + ix2) * (y2 + iy2), square, "hyperoctahedral",
+                                       "square-product")
+    out["square-sum"] = KernelSpec(x2 + ix2 + y2 + iy2, square, "hyperoctahedral", "square-sum")
     out["triangular"] = kernel("triangular", 2)
-    out["honeycomb"] = KernelSpec(
-        (1 + x2 + y2) * (1 + ix2 + iy2), "honeycomb", 2, "permutation", "honeycomb"
-    )
+    out["honeycomb"] = KernelSpec((1 + x2 + y2) * (1 + ix2 + iy2), LatticeSpec("honeycomb", 2),
+                                  "permutation", "honeycomb")
     out["diamond3"] = KernelSpec(
         (ix3 + x3 + z3 * (y3 + iy3)) * (x3 + ix3 + iz3 * (y3 + iy3)),
-        "diamond",
-        3,
-        "none",
-        "diamond3-printed",
-    )
+        LatticeSpec("diamond", 3), "none", "diamond3-printed")
     out["sc3"] = kernel("sc", 3)
-    out["bcc3"] = KernelSpec((x3 + ix3) * (y3 + iy3) * (z3 + iz3), "bcc", 3, "hyperoctahedral", "bcc3")
+    out["bcc3"] = KernelSpec((x3 + ix3) * (y3 + iy3) * (z3 + iz3), LatticeSpec("bcc", 3),
+                             "hyperoctahedral", "bcc3")
     out["fcc3"] = kernel("fcc", 3)
     out["diamond4"] = KernelSpec(
         (ix4 + x4 + z4 * y4 + z4 * iy4 + w4 * ix4) * (x4 + ix4 + y4 * iz4 + iy4 * iz4 + x4 * iw4),
-        "diamond",
-        4,
-        "none",
-        "diamond4-printed",
-    )
+        LatticeSpec("diamond", 4), "none", "diamond4-printed")
     out["sc4"] = kernel("sc", 4)
-    out["bcc4"] = KernelSpec(
-        (x4 + ix4) * (y4 + iy4) * (z4 + iz4) * (w4 + iw4), "bcc", 4, "hyperoctahedral", "bcc4"
-    )
+    out["bcc4"] = KernelSpec((x4 + ix4) * (y4 + iy4) * (z4 + iz4) * (w4 + iw4),
+                             LatticeSpec("bcc", 4), "hyperoctahedral", "bcc4")
     out["fcc4"] = KernelSpec(
         (x4 + ix4) * (y4 + iy4)
         + (x4 + ix4) * (z4 + iz4)
         + (z4 + iz4) * (y4 + iy4)
         + (w4 + iw4) * (x4 + ix4 + y4 + iy4 + z4 + iz4),
-        "fcc",
-        4,
-        "hyperoctahedral",
-        "fcc4",
-    )
+        LatticeSpec("fcc", 4), "hyperoctahedral", "fcc4")
     return out
 
 
@@ -392,10 +378,11 @@ def ct_sequence(kspec: KernelSpec, n_max: int) -> list[int]:
 
 
 def ct_series(kspec: KernelSpec, n_max: int) -> list[int]:
-    """Coefficient table by constant terms, indexed the same way as the
-    closed-form tables: even-only families report CT[K^{2n}] at index n,
-    everything else CT[K^n].  Unbound kernels report the raw sequence."""
-    p = LatticeSpec(kspec.family, kspec.dim).powers_per_index if kspec.family else 1
+    """Coefficient table by constant terms, indexed as kspec.spec indexes
+    the closed-form tables: CT[K^(p n)] at index n, with p its
+    powers_per_index (2 on even-only families, 1 elsewhere).  Unbound
+    kernels report the raw sequence."""
+    p = kspec.spec.powers_per_index if kspec.spec else 1
     return ct_sequence(kspec, p * n_max)[::p]
 
 

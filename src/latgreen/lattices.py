@@ -15,14 +15,16 @@ per family:
   * all-step families (triangular, fcc): index n holds a_n, and odd
     entries can be nonzero.
 
-The structure sums S_n^(d) = sum_m C(n,m)^2 S_m^(d-1), S_n^(1) = 1,
-generate the hyper-diamond counts directly and enter the hypercubic
-formulas; they are computed once per (d, N) by the recurrence.  The
-triangular and 3d fcc tables are one pull-back of them, _pullback.
+The row also holds the family's formula generator, which coeffs()
+calls.  The structure sums S_n^(d) = sum_m C(n,m)^2 S_m^(d-1),
+S_n^(1) = 1, generate the hyper-diamond counts directly and enter the
+hypercubic formulas; they are computed once per (d, N) by the
+recurrence.  The triangular and 3d fcc tables are one pull-back of
+them, _pullback.
 
 Kernels that are elementary symmetric functions of the cosines (sc,
 bcc, fcc and triples4) share one exact route, esym_table, which peels
-one cosine at a time.  coeffs() takes fcc in d >= 4 from it, so every
+one cosine at a time.  The fcc row takes every d != 3 from it, so every
 family has a formula route in every dimension.
 
 Everything in this module is exact integer arithmetic.
@@ -73,26 +75,50 @@ class Family:
     so one kernel power is two lattice steps.  Table index n holds the
     count of (steps_per_index * n)-step returns.  symmetry is the group
     K is claimed to be invariant under: "hyperoctahedral" (coordinate
-    permutations and sign flips) or "permutation".
+    permutations and sign flips) or "permutation".  formula(d, n_max)
+    is the closed-form generator of table entries 0..n_max; it reaches
+    the generators below by name when it is called.
     """
 
     steps: Callable[[int], list[tuple[int, ...]]]
     steps_per_index: int
     symmetry: str
+    formula: Callable[[int, int], Sequence[int]]
     fixed_dim: int | None = None
     two_site: bool = False
 
 
+def _two_site_sums(d: int, n_max: int) -> list[int]:
+    """S_n^(d+1): honeycomb and diamond."""
+    return structure_sums(d + 1, n_max)
+
+
+def _central_power(d: int, n_max: int) -> list[int]:
+    """C(2n,n)^d: square and bcc."""
+    return [comb(2 * n, n) ** d for n in range(n_max + 1)]
+
+
+def _central_times_sums(d: int, n_max: int) -> list[int]:
+    """C(2n,n) S_n^(d): sc and sincos4."""
+    s = structure_sums(d, n_max)
+    return [comb(2 * n, n) * s[n] for n in range(n_max + 1)]
+
+
 FAMILIES = {
-    "honeycomb": Family(_forward, 2, "permutation", fixed_dim=2, two_site=True),
-    "square": Family(lambda d: _signed(d, 1), 2, "hyperoctahedral", fixed_dim=2),
-    "triangular": Family(lambda d: _signed(d, 1) + [(1, -1), (-1, 1)], 1, "permutation", fixed_dim=2),
-    "diamond": Family(_forward, 2, "permutation", two_site=True),
-    "sc": Family(lambda d: _signed(d, 1), 2, "hyperoctahedral"),
-    "bcc": Family(lambda d: _signed(d, d), 2, "hyperoctahedral"),
-    "fcc": Family(lambda d: _signed(d, 2), 1, "hyperoctahedral"),
-    "sincos4": Family(lambda d: [e for e in _signed(d, d) if prod(e) > 0], 2, "permutation", fixed_dim=4),
-    "triples4": Family(lambda d: _signed(d, 3), 2, "hyperoctahedral", fixed_dim=4),
+    "honeycomb": Family(_forward, 2, "permutation", _two_site_sums, fixed_dim=2, two_site=True),
+    "square": Family(lambda d: _signed(d, 1), 2, "hyperoctahedral", _central_power, fixed_dim=2),
+    "triangular": Family(lambda d: _signed(d, 1) + [(1, -1), (-1, 1)], 1, "permutation",
+                         lambda d, n: _pullback(2, n), fixed_dim=2),
+    "diamond": Family(_forward, 2, "permutation", _two_site_sums, two_site=True),
+    "sc": Family(lambda d: _signed(d, 1), 2, "hyperoctahedral", _central_times_sums),
+    "bcc": Family(lambda d: _signed(d, d), 2, "hyperoctahedral", _central_power),
+    # the pull-back is faster than the peeling route at d = 3 only
+    "fcc": Family(lambda d: _signed(d, 2), 1, "hyperoctahedral",
+                  lambda d, n: _pullback(3, n) if d == 3 else esym_table(2, d, n)),
+    "sincos4": Family(lambda d: [e for e in _signed(d, d) if prod(e) > 0], 2, "permutation",
+                      _central_times_sums, fixed_dim=4),
+    "triples4": Family(lambda d: _signed(d, 3), 2, "hyperoctahedral",
+                       lambda d, n: triples4_table(n), fixed_dim=4),
 }
 
 
@@ -498,29 +524,8 @@ def cosine_integer_table(name: str, n_max: int) -> list[int]:
 
 
 def coeffs(spec: LatticeSpec, n_max: int) -> CoeffTable:
-    """Return-count table for the family, by its closed-form generator."""
-    f, d = spec.family, spec.dim
-    vals: Sequence[int]
-    if f in ("honeycomb", "diamond"):
-        vals = structure_sums(d + 1, n_max)
-    elif f in ("square", "bcc"):
-        vals = [comb(2 * n, n) ** d for n in range(n_max + 1)]
-    elif f == "triangular":
-        vals = _pullback(2, n_max)
-    elif f in ("sc", "sincos4"):
-        s = structure_sums(d, n_max)
-        vals = [comb(2 * n, n) * s[n] for n in range(n_max + 1)]
-    elif f == "fcc":
-        if d == 2:
-            # degenerate: the 2d face-centred lattice is the square lattice
-            vals = [0 if n % 2 else comb(n, n // 2) ** 2 for n in range(n_max + 1)]
-        elif d == 3:
-            vals = _pullback(3, n_max)
-        else:
-            vals = esym_table(2, d, n_max)
-    else:  # triples4; LatticeSpec admits no other family
-        vals = triples4_table(n_max)
-    return CoeffTable(spec, tuple(vals))
+    """Return-count table for the family, by its row's formula generator."""
+    return CoeffTable(spec, tuple(spec.row.formula(spec.dim, n_max)))
 
 
 # ---------------------------------------------------------------------------

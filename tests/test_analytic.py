@@ -1005,6 +1005,10 @@ class TestMahlerMeasure:
     def test_domain(self):
         with pytest.raises(DomainError):
             log_mahler_measure({}, 15)
+        # every coefficient zero, compared as values: strings arrive from the CLI
+        for F in ({(0, 0): 0}, {(1,): 0}, {(1, 0): 0, (0, 0): "0.0"}, {(): "-0"}):
+            with pytest.raises(DomainError):
+                log_mahler_measure(F, 15)
         with pytest.raises(DomainError):
             log_mahler_measure({(1,): 1, (0, 0): 1}, 15)
         with pytest.raises(DomainError):

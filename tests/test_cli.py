@@ -535,6 +535,10 @@ class TestRunner:
         # a fit has no operator to take a series from
         (["ode", "fit", "--terms", "20", "--order", "2"], USAGE, "UsageExit"),
         (["ode", "fit", "--dim", "3", "--terms", "20", "--order", "2"], USAGE, "UsageExit"),
+        # a zero polynomial has no Mahler measure, whatever its exponents
+        (["eval", "mahler", "--coeffs", '{"0,0": 0}'], USAGE, "DomainError"),
+        (["eval", "mahler", "--coeffs", '{"1": 0}'], USAGE, "DomainError"),
+        (["eval", "mahler", "--coeffs", '{"1,0": 0, "0,0": 0}'], USAGE, "DomainError"),
     ])
     def test_error_document(self, capsys, tmp_path, argv, code, error):
         bad = tmp_path / "bad.txt"

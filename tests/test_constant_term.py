@@ -229,11 +229,11 @@ def test_printed_kernels_match_families():
     reg = printed_kernels()
     for name in ("square-product", "square-sum", "honeycomb", "diamond3", "sc3", "bcc3", "fcc3"):
         ks = reg[name]
-        table = coeffs(LatticeSpec(ks.family, ks.dim), 8)
+        table = coeffs(ks.spec, 8)
         assert ct_series(ks, 8) == list(table.values), name
     for name in ("diamond4", "sc4", "bcc4", "fcc4"):
         ks = reg[name]
-        table = coeffs(LatticeSpec(ks.family, ks.dim), 6)
+        table = coeffs(ks.spec, 6)
         assert ct_series(ks, 6) == list(table.values), name
 
 
@@ -324,6 +324,22 @@ def test_registry_kernels_fast_to_build():
 @pytest.mark.parametrize("family,d", CT_CASES + [("fcc", 5), ("fcc", 6)])
 def test_routes_agree(family, d):
     """Formula, CT and cosine give the same table."""
+    spec = LatticeSpec(family, d)
+    n = 6 if d <= 3 else 4
+    p = spec.powers_per_index
+    ct = ct_series(kernel(family, d), n)
+    assert cosine_integer_table(spec.name, p * n)[::p] == ct
+    assert list(coeffs(spec, n).values) == ct
+
+
+# every FAMILIES row: d = 2 and 3 where the dimension is free, the fixed one
+# elsewhere, and fcc d = 4, where the fcc formula leaves the pull-back
+ROW_CASES = [(f, d) for f, row in FAMILIES.items()
+             for d in ([row.fixed_dim] if row.fixed_dim else [2, 3])] + [("fcc", 4)]
+
+
+@pytest.mark.parametrize("family,d", ROW_CASES)
+def test_routes_agree_on_every_family_row(family, d):
     spec = LatticeSpec(family, d)
     n = 6 if d <= 3 else 4
     p = spec.powers_per_index
